@@ -124,8 +124,9 @@ func BenchmarkRouterRoute(b *testing.B) {
 // proves the decisions are bit-identical.
 func BenchmarkRouterRouteSteady(b *testing.B) {
 	// cache=on is the instrumented fast path (metrics are on by default);
-	// metrics=off is the same path with instrumentation compiled out of the
-	// router, the baseline for CI's 1.1x instrumentation-overhead gate.
+	// metrics=off is the same path without the per-request clock reads and
+	// histogram observations (the counters always count), the baseline for
+	// CI's 1.1x instrumentation-overhead gate.
 	for _, variant := range []struct {
 		name               string
 		noCache, noMetrics bool

@@ -321,9 +321,9 @@ const statusClientClosedRequest = 499
 // handler: a shed request is 429 (retryable), a missing tenant is 404, a
 // duplicate tenant is 409, a closed engine is the service going away (503),
 // a cancelled request context is the client having hung up (499), a
-// deadline is a timeout (504), an oversized body is 413, and everything
-// else surfaced by the API keeps the handler's fallback (a bad or
-// conflicting request).
+// deadline is a timeout (504), an oversized body is 413, a contained serving
+// panic is the server's fault (500), and everything else surfaced by the API
+// keeps the handler's fallback (a bad or conflicting request).
 func statusFor(err error, fallback int) int {
 	var tooLarge *http.MaxBytesError
 	switch {
@@ -341,6 +341,8 @@ func statusFor(err error, fallback int) int {
 		return http.StatusGatewayTimeout
 	case errors.As(err, &tooLarge):
 		return http.StatusRequestEntityTooLarge
+	case errors.Is(err, gddr.ErrInternal):
+		return http.StatusInternalServerError
 	}
 	return fallback
 }

@@ -43,17 +43,13 @@ type Engine struct {
 	// even across republishes.
 	rr atomic.Uint64
 
-	eventsApplied atomic.Int64
-	agentSwaps    atomic.Int64
-
-	// Counters of retired snapshots, folded in as routers are replaced so
-	// Stats stays cumulative across topology and model swaps.
-	retired RouterStats //gddr:guardedby mu
-
-	// registry is shared with every snapshot's router, so serving counters
-	// and histograms stay cumulative across topology and model swaps; met
-	// adds the engine's own event/swap instruments on top.
+	// registry is pinned for the engine's lifetime and shared with every
+	// snapshot's routers, which register into it idempotently: the serving
+	// counters and histograms are cumulative across topology and model swaps
+	// by construction. serving is the engine's own handle on those router
+	// instruments (what Stats reads); met adds the event/swap instruments.
 	registry *metrics.Registry
+	serving  *routerMetrics
 	met      *engineMetrics
 }
 
@@ -100,7 +96,9 @@ type engineState struct {
 }
 
 // EngineStats aggregates serving activity across every topology and model
-// the engine has served.
+// the engine has served. Like RouterStats it is a read-only view of the
+// counters in the engine's metrics registry, so engines handed one shared
+// registry with WithMetricsRegistry share their counts.
 type EngineStats struct {
 	RouterStats
 	// EventsApplied counts topology events successfully applied.
@@ -169,7 +167,12 @@ func NewEngine(agent *Agent, g *Graph, opts ...RouterOption) (*Engine, error) {
 		return nil, err
 	}
 	cfg.history = nil // warm history applies to the first snapshot only
-	e := &Engine{cfg: cfg, registry: cfg.metrics, met: newEngineMetrics(cfg.metrics)}
+	e := &Engine{
+		cfg:      cfg,
+		registry: cfg.metrics,
+		serving:  newRouterMetrics(cfg.metrics),
+		met:      newEngineMetrics(cfg.metrics),
+	}
 	e.registry.GaugeFunc("gddr_engine_topology_version", "Current topology version (0 after Close).", func() float64 {
 		return float64(e.Version())
 	})
@@ -306,7 +309,6 @@ func (e *Engine) Apply(ctx context.Context, events ...Event) error {
 		return err
 	}
 	e.met.applySeconds.Observe(time.Since(start).Seconds())
-	e.eventsApplied.Add(int64(len(events)))
 	e.met.eventsApplied.Add(int64(len(events)))
 	return nil
 }
@@ -340,7 +342,6 @@ func (e *Engine) SwapAgent(ctx context.Context, agent *Agent) error {
 	if err := e.replaceLocked(st, agent, identityTransform, false); err != nil {
 		return err
 	}
-	e.agentSwaps.Add(1)
 	e.met.agentSwaps.Inc()
 	return nil
 }
@@ -376,7 +377,6 @@ func (e *Engine) SwapCheckpoint(ctx context.Context, r io.Reader) error {
 	if err := e.replaceLocked(st, agent, identityTransform, false); err != nil {
 		return err
 	}
-	e.agentSwaps.Add(1)
 	e.met.agentSwaps.Inc()
 	return nil
 }
@@ -425,22 +425,7 @@ func (e *Engine) replaceLocked(old *engineState, agent *Agent, transform func(*G
 	}
 	e.state.Store(st)
 	close(old.next)
-	for _, r := range old.routers {
-		e.foldStatsLocked(r)
-	}
 	return nil
-}
-
-// foldStatsLocked folds a retired router's counters into the cumulative
-// stats. Callers hold e.mu; the router must already be closed.
-func (e *Engine) foldStatsLocked(r *Router) {
-	s := r.Stats()
-	e.retired.Requests += s.Requests
-	e.retired.Batches += s.Batches
-	e.retired.ForwardPasses += s.ForwardPasses
-	e.retired.PolicyCacheHits += s.PolicyCacheHits
-	e.retired.StrategyHits += s.StrategyHits
-	e.retired.StrategyMisses += s.StrategyMisses
 }
 
 // Graph returns a copy of the topology currently being served (nil after
@@ -466,26 +451,16 @@ func (e *Engine) Version() int64 {
 }
 
 // Stats returns cumulative serving counters across every topology and
-// model the engine has served.
+// model the engine has served, read straight from the registry instruments
+// (they outlive Close). It takes no lock, so it never waits behind an Apply
+// or swap that is draining a snapshot.
 func (e *Engine) Stats() EngineStats {
 	stats := EngineStats{
-		EventsApplied: e.eventsApplied.Load(),
-		AgentSwaps:    e.agentSwaps.Load(),
+		RouterStats:   e.serving.stats(),
+		EventsApplied: e.met.eventsApplied.Value(),
+		AgentSwaps:    e.met.agentSwaps.Value(),
 	}
-	e.mu.Lock()
-	stats.RouterStats = e.retired
-	st := e.state.Load()
-	e.mu.Unlock()
-	if st != nil {
-		for _, r := range st.routers {
-			s := r.Stats()
-			stats.Requests += s.Requests
-			stats.Batches += s.Batches
-			stats.ForwardPasses += s.ForwardPasses
-			stats.PolicyCacheHits += s.PolicyCacheHits
-			stats.StrategyHits += s.StrategyHits
-			stats.StrategyMisses += s.StrategyMisses
-		}
+	if st := e.state.Load(); st != nil {
 		stats.TopologyVersion = st.version
 		stats.Nodes = st.nodes
 		stats.Edges = st.edges
@@ -510,8 +485,5 @@ func (e *Engine) Close() {
 			r.Close()
 		}
 		close(st.next) // wake waiters; they observe the nil state
-		for _, r := range st.routers {
-			e.foldStatsLocked(r)
-		}
 	}
 }

@@ -161,7 +161,7 @@ func (d *DemandMatrix) MaxEntry() float64 {
 	return m
 }
 
-// Validate checks invariants (non-negative entries, zero diagonal).
+// Validate checks invariants (finite non-negative entries, zero diagonal).
 func (d *DemandMatrix) Validate() error {
 	if len(d.Data) != d.N*d.N {
 		return fmt.Errorf("traffic: demand matrix length %d != %d^2", len(d.Data), d.N)
@@ -169,8 +169,9 @@ func (d *DemandMatrix) Validate() error {
 	for s := 0; s < d.N; s++ {
 		for t := 0; t < d.N; t++ {
 			v := d.At(s, t)
-			if v < 0 {
-				return fmt.Errorf("traffic: negative demand %g at (%d,%d)", v, s, t)
+			// !(v >= 0) is true for NaN as well as for negatives.
+			if !(v >= 0) || math.IsInf(v, 1) {
+				return fmt.Errorf("traffic: negative or non-finite demand %g at (%d,%d)", v, s, t)
 			}
 			if s == t && v != 0 {
 				return fmt.Errorf("traffic: non-zero diagonal %g at node %d", v, s)

@@ -29,15 +29,28 @@ func TestDemandMatrixBasics(t *testing.T) {
 }
 
 func TestValidateCatchesBadMatrices(t *testing.T) {
-	d := NewDemandMatrix(2)
-	d.Set(0, 0, 1)
-	if err := d.Validate(); err == nil {
-		t.Fatal("non-zero diagonal accepted")
+	for _, tc := range []struct {
+		name    string
+		s, t    int
+		v       float64
+		wantErr bool
+	}{
+		{name: "valid", s: 0, t: 1, v: 5},
+		{name: "negative", s: 0, t: 1, v: -1, wantErr: true},
+		{name: "NaN", s: 0, t: 1, v: math.NaN(), wantErr: true},
+		{name: "+Inf", s: 1, t: 0, v: math.Inf(1), wantErr: true},
+		{name: "-Inf", s: 1, t: 0, v: math.Inf(-1), wantErr: true},
+		{name: "non-zero diagonal", s: 1, t: 1, v: 1, wantErr: true},
+		{name: "NaN diagonal", s: 0, t: 0, v: math.NaN(), wantErr: true},
+	} {
+		d := NewDemandMatrix(2)
+		d.Set(tc.s, tc.t, tc.v)
+		if err := d.Validate(); (err != nil) != tc.wantErr {
+			t.Errorf("%s: Validate() = %v, want error %v", tc.name, err, tc.wantErr)
+		}
 	}
-	d2 := NewDemandMatrix(2)
-	d2.Set(0, 1, -1)
-	if err := d2.Validate(); err == nil {
-		t.Fatal("negative demand accepted")
+	if err := (&DemandMatrix{N: 2, Data: make([]float64, 3)}).Validate(); err == nil {
+		t.Error("short data slice accepted")
 	}
 }
 

@@ -95,7 +95,8 @@ func TestMetricNameGrammar(t *testing.T) {
 		}
 	}
 	// The warm-start instrumentation families must materialise from the
-	// training run's cache (Instrument registers them, the solves feed them).
+	// training run's cache (Instrument registers them, the solves feed them),
+	// and the panic-containment counter from router construction.
 	names := map[string]bool{}
 	for _, p := range points {
 		names[p.Name] = true
@@ -104,9 +105,10 @@ func TestMetricNameGrammar(t *testing.T) {
 		"gddr_lp_warm_start_total",
 		"gddr_lp_cold_start_total",
 		"gddr_lp_solve_pivots",
+		"gddr_router_panics_total",
 	} {
 		if !names[want] {
-			t.Errorf("grammar walk never saw %q; LP warm-start instrumentation lost coverage", want)
+			t.Errorf("grammar walk never saw %q; the test lost coverage of that family", want)
 		}
 	}
 }

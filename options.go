@@ -14,7 +14,6 @@ type RouterOption func(*routerConfig)
 type routerConfig struct {
 	workers     int
 	maxBatch    int
-	evalWorkers int
 	batchWindow time.Duration
 	history     []*DemandMatrix
 	// replicas is the number of read replicas an Engine snapshot clones
@@ -45,9 +44,10 @@ type routerConfig struct {
 	metrics *metrics.Registry
 	// tracing attaches a per-request timing breakdown to every Decision.
 	tracing bool
-	// noMetrics disables instrumentation entirely. Benchmark only: the bare
-	// path is the baseline the instrumentation-overhead CI gate compares
-	// against.
+	// noMetrics skips the per-request clock reads and histogram observations
+	// (the counters always count, and Stats/Metrics still answer). Benchmark
+	// only: the bare path is the baseline the instrumentation-overhead CI
+	// gate compares against.
 	noMetrics bool
 }
 
@@ -71,30 +71,21 @@ func WithWarmHistory(dms ...*DemandMatrix) RouterOption {
 	return func(c *routerConfig) { c.history = dms }
 }
 
-// WithEvalWorkers fans the per-request routing evaluation out over n
-// goroutines, one sink per task (default 1: sequential). The parallel
-// merge preserves the sequential accumulation order, so decisions are
-// bit-identical at any worker count. Worth enabling on large topologies,
-// where per-sink propagation dominates the request cost; at Abilene scale
-// the fan-out overhead outweighs the win.
-func WithEvalWorkers(n int) RouterOption {
-	return func(c *routerConfig) { c.evalWorkers = n }
-}
-
 // WithMetricsRegistry makes the router (or engine) register its serving
 // instruments — request/batch/forward-pass counters, route-latency,
 // queue-wait, and batch-size histograms — in reg instead of a private
 // registry, so one registry can expose every subsystem of a process on a
 // single /metrics endpoint. Instruments are registered idempotently by
-// name: routers sharing a registry share counters.
+// name: routers (and engines) sharing a registry share counters, and with
+// them Stats, which is a view over those counters.
 func WithMetricsRegistry(reg *metrics.Registry) RouterOption {
 	return func(c *routerConfig) { c.metrics = reg }
 }
 
 // WithTracing attaches a per-request RouteTrace to every Decision: the
 // queue-wait, observe, forward, strategy, and evaluate timings plus which
-// fast-path caches answered. Off by default; the fast path pays no timing
-// cost while disabled.
+// fast-path caches answered. Off by default; the cached fast path pays no
+// per-stage timing cost while disabled.
 func WithTracing(on bool) RouterOption {
 	return func(c *routerConfig) { c.tracing = on }
 }
@@ -127,7 +118,7 @@ func WithBatchWindow(d time.Duration) RouterOption {
 // options once at construction and reuses the config for every topology or
 // model rebuild, overriding only the carried history.
 func resolveRouterConfig(opts []RouterOption) routerConfig {
-	cfg := routerConfig{workers: runtime.GOMAXPROCS(0), maxBatch: 16, evalWorkers: 1}
+	cfg := routerConfig{workers: runtime.GOMAXPROCS(0), maxBatch: 16}
 	for _, opt := range opts {
 		if opt != nil {
 			opt(&cfg)
@@ -138,9 +129,6 @@ func resolveRouterConfig(opts []RouterOption) routerConfig {
 	}
 	if cfg.maxBatch < 1 {
 		cfg.maxBatch = 1
-	}
-	if cfg.evalWorkers < 1 {
-		cfg.evalWorkers = 1
 	}
 	if cfg.replicas < 1 {
 		cfg.replicas = 1

@@ -7,7 +7,6 @@ import (
 	"math"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"gddr/internal/env"
@@ -26,6 +25,12 @@ var ErrClosed = errors.New("gddr: serving engine is closed")
 // ErrRouterClosed is the former name of ErrClosed, kept as an alias so
 // existing errors.Is checks keep working.
 var ErrRouterClosed = ErrClosed
+
+// ErrInternal is the sentinel wrapped by the error every unanswered request
+// of a batch receives when serving that batch panicked. The panic is
+// contained to the batch: the router, its sibling replicas and every other
+// tenant in the process keep serving. Test with errors.Is.
+var ErrInternal = errors.New("gddr: internal serving error")
 
 // Decision is the routing decision for one demand matrix: the learned edge
 // weights, the softmin spread, the fully-specified splitting ratios they
@@ -86,7 +91,10 @@ type RouteTrace struct {
 	StrategyCacheHit bool `json:"strategy_cache_hit"`
 }
 
-// RouterStats counts serving activity since the router started.
+// RouterStats is a read-only view of the serving counters in the router's
+// metrics registry (see Router.Metrics): activity since the registry's
+// first router started, so routers handed one shared registry with
+// WithMetricsRegistry share their stats exactly as they share the counters.
 type RouterStats struct {
 	// Requests is the number of demand matrices routed.
 	Requests int64 `json:"requests"`
@@ -132,7 +140,6 @@ type Router struct {
 	ecfg        env.Config
 	base        []float64 // per-edge base weights of the action mapping
 	maxBatch    int
-	evalWorkers int
 	batchWindow time.Duration
 	noCache     bool
 	zero        *DemandMatrix // cold-start history pad (all-zero demand)
@@ -164,22 +171,15 @@ type Router struct {
 	observers sync.Pool // *env.Observer, one in flight per serving worker
 	scratch   sync.Pool // *evalScratch, one in flight per evaluation
 
-	requests        atomic.Int64
-	batches         atomic.Int64
-	forwardPasses   atomic.Int64
-	policyCacheHits atomic.Int64
-	strategyHits    atomic.Int64
-	strategyMisses  atomic.Int64
-
-	// registry/met are the observability surface: the counters above stay
-	// the per-router Stats() source of truth (the Engine folds them across
-	// snapshots), while met mirrors them into registry instruments — which a
-	// shared registry keeps cumulative across Engine snapshot rebuilds — and
-	// adds the latency/queue-wait/batch-size histograms. met is nil only
-	// under the benchmark-only noMetrics config.
-	registry *metrics.Registry
-	met      *routerMetrics
-	tracing  bool
+	// registry holds the serving instruments met points into. They are the
+	// only serving counters: Stats() is a view over them, and a registry
+	// shared across routers (every snapshot of one Engine) keeps them
+	// cumulative. noMetrics (benchmark only) skips the per-request clock
+	// reads and histogram observations, never the counters.
+	registry  *metrics.Registry
+	met       *routerMetrics
+	tracing   bool
+	noMetrics bool
 }
 
 // routerMetrics bundles the router's registry instruments. Names follow the
@@ -191,6 +191,7 @@ type routerMetrics struct {
 	policyCacheHits *metrics.Counter
 	strategyHits    *metrics.Counter
 	strategyMisses  *metrics.Counter
+	panics          *metrics.Counter
 	routeLatency    *metrics.Histogram
 	queueWait       *metrics.Histogram
 	batchSize       *metrics.Histogram
@@ -204,9 +205,22 @@ func newRouterMetrics(reg *metrics.Registry) *routerMetrics {
 		policyCacheHits: reg.Counter("gddr_router_policy_cache_hits_total", "Batches answered from the policy-output cache."),
 		strategyHits:    reg.Counter("gddr_router_strategy_cache_hits_total", "Batches that reused the cached routing strategy."),
 		strategyMisses:  reg.Counter("gddr_router_strategy_cache_misses_total", "Batches that built a fresh routing strategy."),
+		panics:          reg.Counter("gddr_router_panics_total", "Batches whose serving panicked; their requests got ErrInternal."),
 		routeLatency:    reg.Histogram("gddr_router_route_latency_seconds", "End-to-end Route latency (queue wait included).", metrics.LatencyBuckets()),
 		queueWait:       reg.Histogram("gddr_router_queue_wait_seconds", "Time a request waited for a serving worker.", metrics.LatencyBuckets()),
 		batchSize:       reg.Histogram("gddr_router_batch_size", "Requests sharing one forward pass.", metrics.LinearBuckets(1, 1, 16)),
+	}
+}
+
+// stats reads the serving counters as a RouterStats view.
+func (m *routerMetrics) stats() RouterStats {
+	return RouterStats{
+		Requests:        m.requests.Value(),
+		Batches:         m.batches.Value(),
+		ForwardPasses:   m.forwardPasses.Value(),
+		PolicyCacheHits: m.policyCacheHits.Value(),
+		StrategyHits:    m.strategyHits.Value(),
+		StrategyMisses:  m.strategyMisses.Value(),
 	}
 }
 
@@ -223,29 +237,18 @@ type policyOutput struct {
 }
 
 // evalScratch holds the per-request evaluation buffers: demand in-sums,
-// propagation inflow, the sinks-with-demand list, and (parallel evaluation
-// only) the per-sink load contributions.
+// propagation inflow, and the sinks-with-demand list.
 type evalScratch struct {
-	insums  []float64
-	inflow  []float64
-	sinks   []int
-	contrib []float64
+	insums []float64
+	inflow []float64
+	sinks  []int
 }
 
 // grow returns buf resized to n, reusing its backing array when possible.
-func grow(buf []float64, n int) []float64 {
+func grow[T any](buf []T, n int) []T {
 	if cap(buf) < n {
 		//gddr:allow hotpath scratch resize runs once per topology change, then the buffer is reused
-		return make([]float64, n)
-	}
-	return buf[:n]
-}
-
-// growInt is grow for int scratch slices.
-func growInt(buf []int, n int) []int {
-	if cap(buf) < n {
-		//gddr:allow hotpath scratch resize runs once per topology change, then the buffer is reused
-		return make([]int, n)
+		return make([]T, n)
 	}
 	return buf[:n]
 }
@@ -342,7 +345,7 @@ func (h *demandHistory) push(dm *DemandMatrix) {
 type routeRequest struct {
 	ctx      context.Context
 	dm       *DemandMatrix
-	enqueued time.Time // set only when instrumented (met != nil or tracing)
+	enqueued time.Time // set unless the router is noMetrics and untraced
 	resp     chan routeResponse
 }
 
@@ -382,40 +385,41 @@ func newRouter(agent *Agent, g *Graph, cfg routerConfig) (*Router, error) {
 		ecfg:        ecfg,
 		base:        base,
 		maxBatch:    cfg.maxBatch,
-		evalWorkers: cfg.evalWorkers,
 		batchWindow: cfg.batchWindow,
 		noCache:     cfg.noCache,
+		tracing:     cfg.tracing,
+		noMetrics:   cfg.noMetrics,
+		registry:    cfg.metrics,
 		zero:        traffic.NewDemandMatrix(g.NumNodes()),
 		reqCh:       make(chan *routeRequest), // unbuffered: senders block, enabling batching
 		quit:        make(chan struct{}),
 	}
 	r.observers.New = func() any { return new(env.Observer) }
 	r.scratch.New = func() any { return new(evalScratch) }
-	r.tracing = cfg.tracing
 	r.hist = cfg.hist
 	if r.hist == nil {
 		r.hist = newDemandHistory(ecfg.Memory)
 	}
-	if !cfg.noMetrics {
-		r.registry = cfg.metrics
-		if r.registry == nil {
-			r.registry = metrics.NewRegistry()
-		}
-		r.met = newRouterMetrics(r.registry)
+	if r.registry == nil {
+		r.registry = metrics.NewRegistry()
 	}
+	r.met = newRouterMetrics(r.registry)
 	for _, dm := range cfg.history {
 		if dm == nil || dm.N != g.NumNodes() {
 			return nil, fmt.Errorf("gddr: warm-history matrix does not match the %d-node topology", g.NumNodes())
 		}
 		r.hist.push(dm)
 	}
-	// Probe: one decision on an empty demand matrix catches policies whose
-	// shape is bound to a different topology before serving starts. decide
-	// bypasses the caches and returns its forward-pass count to the caller,
-	// so the probe leaves the caches cold and the serving counters honest
-	// (the probe's passes are simply never added).
+	// Probe: one inference on the current history window catches policies
+	// whose shape is bound to a different topology before serving starts. The
+	// stage functions neither count nor cache — only serve does — so the
+	// probe leaves the caches cold and the serving counters honest.
 	if !cfg.skipProbe {
-		if _, _, _, err := r.decide(r.hist.window(r.zero), nil); err != nil {
+		obs, err := env.Observe(g, r.hist.window(r.zero))
+		if err == nil {
+			_, _, _, err = r.infer(obs)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("gddr: agent incompatible with topology: %w", err)
 		}
 	}
@@ -455,7 +459,7 @@ func (r *Router) Route(ctx context.Context, dm *DemandMatrix) (*Decision, error)
 	// goroutine, so it cannot live on this stack or in a pool keyed to it.
 	//gddr:allow hotpath per-request envelope crosses into the serving goroutine
 	req := &routeRequest{ctx: ctx, dm: dm, resp: make(chan routeResponse, 1)}
-	if r.met != nil || r.tracing {
+	if !r.noMetrics || r.tracing {
 		req.enqueued = time.Now()
 	}
 	select {
@@ -473,17 +477,9 @@ func (r *Router) Route(ctx context.Context, dm *DemandMatrix) (*Decision, error)
 	}
 }
 
-// Stats returns serving counters since the router started.
-func (r *Router) Stats() RouterStats {
-	return RouterStats{
-		Requests:        r.requests.Load(),
-		Batches:         r.batches.Load(),
-		ForwardPasses:   r.forwardPasses.Load(),
-		PolicyCacheHits: r.policyCacheHits.Load(),
-		StrategyHits:    r.strategyHits.Load(),
-		StrategyMisses:  r.strategyMisses.Load(),
-	}
-}
+// Stats returns the serving counters: a view over the registry instruments
+// behind Metrics, cumulative across every router sharing that registry.
+func (r *Router) Stats() RouterStats { return r.met.stats() }
 
 // Graph returns the frozen topology the router serves. The graph is shared,
 // not copied; it must not be modified.
@@ -569,9 +565,11 @@ func (r *Router) gather(first *routeRequest) []*routeRequest {
 	return batch
 }
 
-// batchTrace collects the shared per-batch stage timings when tracing is
-// enabled; nil otherwise, in which case the stages pay no timing cost.
-type batchTrace struct {
+// batchStages is the batch-shared stage record: what the batch's one
+// observation, inference and strategy build cost, and which fast-path caches
+// answered instead. serve fills one on its stack for every batch; under
+// WithTracing each response's RouteTrace copies it field for field.
+type batchStages struct {
 	observeNS        int64
 	forwardNS        int64
 	strategyNS       int64
@@ -579,8 +577,11 @@ type batchTrace struct {
 	strategyCacheHit bool
 }
 
-// serve answers one batch: one shared observation and forward pass, then a
-// per-request routing evaluation.
+// serve answers one batch in the explicit stage sequence window →
+// policy-cache lookup → observe → infer → strategy-cache lookup → build →
+// per-request evaluate. It is the only function that counts or reads the
+// clock: the stage functions it calls take no metrics or trace argument, so
+// every serving counter has exactly one increment site, here.
 //
 //gddr:hotpath
 func (r *Router) serve(batch []*routeRequest) {
@@ -599,124 +600,166 @@ func (r *Router) serve(batch []*routeRequest) {
 	if len(live) == 0 {
 		return
 	}
-	r.batches.Add(1)
-	r.requests.Add(int64(len(live)))
+	defer r.contain(live)
+	r.met.batches.Inc()
+	r.met.requests.Add(int64(len(live)))
 	var picked time.Time
-	if r.met != nil || r.tracing {
+	if !r.noMetrics || r.tracing {
 		picked = time.Now()
 	}
-	if r.met != nil {
-		r.met.batches.Inc()
-		r.met.requests.Add(int64(len(live)))
+	if !r.noMetrics {
 		r.met.batchSize.Observe(float64(len(live)))
 		for _, req := range live {
 			r.met.queueWait.Observe(picked.Sub(req.enqueued).Seconds())
 		}
 	}
 
-	// All requests of the batch observe the pre-batch history (matching the
-	// training-time contract that a decision for time t sees demands up to
-	// t-1), then join it for subsequent batches. A cold-start history is
-	// padded with zero matrices — the "no traffic observed yet" statement —
-	// never with a batch member's own demand, which would let the first
-	// decisions observe the very demand they are routing.
+	// Window. All requests of the batch observe the pre-batch history
+	// (matching the training-time contract that a decision for time t sees
+	// demands up to t-1), then join it for subsequent batches. A cold-start
+	// history is padded with zero matrices — the "no traffic observed yet"
+	// statement — never with a batch member's own demand, which would let the
+	// first decisions observe the very demand they are routing.
 	hist := r.hist.observeAndPush(r.zero, live)
 
-	// The batch trace lives on this stack: its fields are copied into each
-	// response's RouteTrace, never retained, so tracing adds no per-batch
-	// heap allocation here.
-	var btv batchTrace
-	var bt *batchTrace
-	if r.tracing {
-		bt = &btv
-	}
-	weights, gamma, err := r.decideCached(hist, bt)
-	if err != nil {
-		for _, req := range live {
-			req.resp <- routeResponse{err: err}
+	// Policy-cache lookup, else observe → infer. The three stages below run
+	// only on a miss (≥100µs of forward pass), so their clock reads are
+	// unconditional. The observation lives in a pooled Observer's buffers:
+	// infer copies what it keeps, so the buffers are free again after it.
+	var st batchStages
+	weights, gamma, hit := r.cachedOutput(hist)
+	st.policyCacheHit = hit
+	if hit {
+		r.met.policyCacheHits.Inc()
+	} else {
+		ob := r.observers.Get().(*env.Observer)
+		start := time.Now()
+		//gddr:allow hotpath observation build runs only when the observed window changed
+		obs, err := ob.Observe(r.g, hist)
+		observed := time.Now()
+		passes := 0
+		if err == nil {
+			//gddr:allow hotpath forward pass runs only when the observed window changed
+			weights, gamma, passes, err = r.infer(obs)
 		}
-		return
+		st.observeNS = observed.Sub(start).Nanoseconds()
+		st.forwardNS = time.Since(observed).Nanoseconds()
+		r.observers.Put(ob)
+		r.met.forwardPasses.Add(int64(passes))
+		if err != nil {
+			fail(live, err)
+			return
+		}
+		if !r.noCache {
+			r.cacheMu.Lock()
+			//gddr:allow hotpath cache refill happens once per window change, paired with the forward pass above
+			r.lastOut = &policyOutput{window: hist, weights: weights, gamma: gamma}
+			r.cacheMu.Unlock()
+		}
 	}
 
-	// The splitting ratios depend only on (weights, gamma, sink), so they
-	// are shared across the batch — and, via the strategy cache, across
-	// every batch for which the policy keeps emitting these weights; each
-	// request pays only for propagating its own demand through them.
-	strat, err := r.strategyFor(weights, gamma, bt)
-	if err != nil {
-		for _, req := range live {
-			req.resp <- routeResponse{err: err}
+	// Strategy-cache lookup, else build. The splitting ratios depend only on
+	// (weights, gamma, sink), so they are shared across the batch — and, via
+	// the cache, across every batch for which the policy keeps emitting
+	// these weights. With caching off each batch builds its own strategy,
+	// which still shares ratios within the batch.
+	strat := r.cachedStrategy(weights, gamma)
+	st.strategyCacheHit = strat != nil
+	if strat != nil {
+		r.met.strategyHits.Inc()
+	} else {
+		start := time.Now()
+		var err error
+		//gddr:allow hotpath strategy rebuilds only when the policy emits new weights; steady state hits the cache
+		strat, err = routing.NewStrategy(r.g, weights, gamma)
+		st.strategyNS = time.Since(start).Nanoseconds()
+		if err != nil {
+			fail(live, err)
+			return
 		}
-		return
+		r.met.strategyMisses.Inc()
+		if !r.noCache {
+			r.cacheMu.Lock()
+			r.strategy = strat
+			r.cacheMu.Unlock()
+		}
 	}
+
+	// Evaluate: each request pays only for propagating its own demand
+	// through the shared strategy.
 	for _, req := range live {
 		var evalStart time.Time
-		if bt != nil {
+		if r.tracing {
 			evalStart = time.Now()
 		}
 		d, err := r.evaluate(req.dm, strat)
-		if d != nil && bt != nil {
+		if d != nil && r.tracing {
 			//gddr:allow hotpath allocates only when request tracing is enabled
 			d.Trace = &RouteTrace{
 				BatchSize:        len(live),
 				QueueWaitNS:      picked.Sub(req.enqueued).Nanoseconds(),
-				ObserveNS:        bt.observeNS,
-				ForwardNS:        bt.forwardNS,
-				StrategyNS:       bt.strategyNS,
+				ObserveNS:        st.observeNS,
+				ForwardNS:        st.forwardNS,
+				StrategyNS:       st.strategyNS,
 				EvaluateNS:       time.Since(evalStart).Nanoseconds(),
-				PolicyCacheHit:   bt.policyCacheHit,
-				StrategyCacheHit: bt.strategyCacheHit,
+				PolicyCacheHit:   st.policyCacheHit,
+				StrategyCacheHit: st.strategyCacheHit,
 			}
 		}
-		if r.met != nil {
+		if !r.noMetrics {
 			r.met.routeLatency.Observe(time.Since(req.enqueued).Seconds())
 		}
 		req.resp <- routeResponse{d: d, err: err}
 	}
 }
 
-// decideCached is decide behind the policy-output cache: if the observed
-// history window is unchanged since the last batch (pointer-equal or, for
-// identical matrices decoded afresh, value-equal), the deterministic
-// MeanAction would recompute the same action, so the cached (weights,
-// gamma) is returned without building an observation or running a forward
-// pass. The returned slices are shared with the cache and must be treated
-// as read-only — every consumer copies before handing them to callers.
-func (r *Router) decideCached(hist []*DemandMatrix, bt *batchTrace) ([]float64, float64, error) {
-	if !r.noCache {
-		r.cacheMu.Lock()
-		if c := r.lastOut; c != nil && windowsEqual(c.window, hist) {
-			weights, gamma := c.weights, c.gamma
-			r.cacheMu.Unlock()
-			r.policyCacheHits.Add(1)
-			if r.met != nil {
-				r.met.policyCacheHits.Inc()
-			}
-			if bt != nil {
-				bt.policyCacheHit = true
-			}
-			return weights, gamma, nil
+// fail answers every request of a batch with err.
+func fail(batch []*routeRequest, err error) {
+	for _, req := range batch {
+		req.resp <- routeResponse{err: err}
+	}
+}
+
+// contain is serve's deferred panic barrier, the router's share of the
+// tenant isolation contract: a panic while serving one batch fails that
+// batch's unanswered requests with an error wrapping ErrInternal and returns
+// the worker to its loop, instead of killing every tenant in the process.
+// Each response channel buffers one reply, so the non-blocking send always
+// reaches a request not answered yet, and on an answered one it is either
+// skipped (reply still buffered) or dropped with the channel (reply taken).
+func (r *Router) contain(live []*routeRequest) {
+	p := recover()
+	if p == nil {
+		return
+	}
+	r.met.panics.Inc()
+	//gddr:allow hotpath panic containment path
+	err := fmt.Errorf("%w: panic serving a batch of %d: %v", ErrInternal, len(live), p)
+	for _, req := range live {
+		select {
+		case req.resp <- routeResponse{err: err}:
+		default:
 		}
-		r.cacheMu.Unlock()
 	}
-	// Cache miss: run the forward pass. Steady demand takes the pointer-equal
-	// window fast path above and never reaches this.
-	//gddr:allow hotpath forward pass runs only when the observed window changed
-	weights, gamma, passes, err := r.decide(hist, bt)
-	r.forwardPasses.Add(int64(passes))
-	if r.met != nil {
-		r.met.forwardPasses.Add(int64(passes))
+}
+
+// cachedOutput is the policy-output cache lookup: if the observed history
+// window is unchanged since the last batch (pointer-equal or, for identical
+// matrices decoded afresh, value-equal), the deterministic MeanAction would
+// recompute the same action, so the cached (weights, gamma) stands in for
+// the observation build and every forward pass. The returned slice is
+// shared with the cache and must be treated as read-only — every consumer
+// copies before handing it to callers.
+func (r *Router) cachedOutput(hist []*DemandMatrix) ([]float64, float64, bool) {
+	if r.noCache {
+		return nil, 0, false
 	}
-	if err != nil {
-		return nil, 0, err
+	r.cacheMu.Lock()
+	defer r.cacheMu.Unlock()
+	if c := r.lastOut; c != nil && windowsEqual(c.window, hist) {
+		return c.weights, c.gamma, true
 	}
-	if !r.noCache {
-		r.cacheMu.Lock()
-		//gddr:allow hotpath cache refill happens once per window change, paired with the forward pass above
-		r.lastOut = &policyOutput{window: hist, weights: weights, gamma: gamma}
-		r.cacheMu.Unlock()
-	}
-	return weights, gamma, nil
+	return nil, 0, false
 }
 
 // windowsEqual reports whether two history windows hold the same demand,
@@ -734,83 +777,25 @@ func windowsEqual(a, b []*DemandMatrix) bool {
 	return true
 }
 
-// strategyFor returns the routing strategy for (weights, gamma), reusing
-// the cached one when the policy output is unchanged. With caching off it
-// builds a fresh per-batch strategy, which still shares ratios within the
-// batch (the pre-cache behaviour).
-func (r *Router) strategyFor(weights []float64, gamma float64, bt *batchTrace) (*routing.Strategy, error) {
+// cachedStrategy is the strategy-cache lookup: the cached routing strategy
+// if it was built for exactly (weights, gamma), else nil.
+func (r *Router) cachedStrategy(weights []float64, gamma float64) *routing.Strategy {
 	if r.noCache {
-		r.strategyMisses.Add(1)
-		if r.met != nil {
-			r.met.strategyMisses.Inc()
-		}
-		return r.buildStrategy(weights, gamma, bt)
+		return nil
 	}
 	r.cacheMu.Lock()
+	defer r.cacheMu.Unlock()
 	if s := r.strategy; s != nil && s.Matches(weights, gamma) {
-		r.cacheMu.Unlock()
-		r.strategyHits.Add(1)
-		if r.met != nil {
-			r.met.strategyHits.Inc()
-		}
-		if bt != nil {
-			bt.strategyCacheHit = true
-		}
-		return s, nil
+		return s
 	}
-	r.cacheMu.Unlock()
-	s, err := r.buildStrategy(weights, gamma, bt)
-	if err != nil {
-		return nil, err
-	}
-	r.strategyMisses.Add(1)
-	if r.met != nil {
-		r.met.strategyMisses.Inc()
-	}
-	r.cacheMu.Lock()
-	r.strategy = s
-	r.cacheMu.Unlock()
-	return s, nil
+	return nil
 }
 
-// buildStrategy constructs a fresh routing strategy, timing it into the
-// batch trace when tracing.
-func (r *Router) buildStrategy(weights []float64, gamma float64, bt *batchTrace) (*routing.Strategy, error) {
-	var start time.Time
-	if bt != nil {
-		start = time.Now()
-	}
-	//gddr:allow hotpath strategy rebuilds only when the policy emits new weights; steady state hits the cache
-	s, err := routing.NewStrategy(r.g, weights, gamma)
-	if bt != nil {
-		bt.strategyNS = time.Since(start).Nanoseconds()
-	}
-	return s, err
-}
-
-// decide runs the policy on the demand history and returns the edge
-// weights, softmin spread, and number of forward passes run (counted by the
-// caller, so the construction-time probe never pollutes serving counters).
-// The observation is built into a pooled Observer's buffers: MeanAction
-// copies what it needs, so the buffers are free for reuse when decide
-// returns. With bt non-nil the observation build and forward passes are
-// timed into it.
-func (r *Router) decide(hist []*DemandMatrix, bt *batchTrace) ([]float64, float64, int, error) {
-	ob := r.observers.Get().(*env.Observer)
-	defer r.observers.Put(ob)
-	var stageStart time.Time
-	if bt != nil {
-		stageStart = time.Now()
-	}
-	obs, err := ob.Observe(r.g, hist)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	if bt != nil {
-		now := time.Now()
-		bt.observeNS = now.Sub(stageStart).Nanoseconds()
-		stageStart = now
-	}
+// infer runs the policy on an observation and returns the edge weights,
+// softmin spread, and number of forward passes run (counted by serve, so the
+// construction-time probe never pollutes serving counters). MeanAction
+// copies what it keeps, so obs may live in reusable buffers.
+func (r *Router) infer(obs *env.Observation) ([]float64, float64, int, error) {
 	passes := 0
 	ne := r.g.NumEdges()
 	if r.agent.Kind == policy.GNNIterativeKind {
@@ -842,9 +827,6 @@ func (r *Router) decide(hist []*DemandMatrix, bt *batchTrace) ([]float64, float6
 		for ei, a := range pending {
 			weights[ei] = env.WeightFromAction(r.base[ei], r.ecfg.WeightScale, a)
 		}
-		if bt != nil {
-			bt.forwardNS = time.Since(stageStart).Nanoseconds()
-		}
 		return weights, gamma, passes, nil
 	}
 	action, err := rl.MeanAction(r.agent.policy, obs)
@@ -858,9 +840,6 @@ func (r *Router) decide(hist []*DemandMatrix, bt *batchTrace) ([]float64, float6
 	weights := make([]float64, ne)
 	for ei, a := range action {
 		weights[ei] = env.WeightFromAction(r.base[ei], r.ecfg.WeightScale, a)
-	}
-	if bt != nil {
-		bt.forwardNS = time.Since(stageStart).Nanoseconds()
 	}
 	return weights, r.ecfg.Gamma, passes, nil
 }
@@ -877,7 +856,7 @@ func (r *Router) evaluate(dm *DemandMatrix, strat *routing.Strategy) (*Decision,
 	defer r.scratch.Put(sc)
 	sc.insums = grow(sc.insums, n)
 	dm.InSums(sc.insums)
-	sc.sinks = growInt(sc.sinks, n)
+	sc.sinks = grow(sc.sinks, n)
 	nSinks := 0
 	for v, in := range sc.insums {
 		if in != 0 {
@@ -886,36 +865,21 @@ func (r *Router) evaluate(dm *DemandMatrix, strat *routing.Strategy) (*Decision,
 		}
 	}
 	sinks := sc.sinks[:nSinks]
+	sc.inflow = grow(sc.inflow, n)
 
-	// One backing array for the two per-edge result slices; the scratch
-	// loads buffer is reset by construction, so reuse cannot double-count
-	// (see Ratios.Loads' accumulation contract).
+	// One backing array for the two per-edge result slices; it is fresh per
+	// request and so starts zeroed, which accumulation requires (see
+	// Ratios.Loads' accumulation contract).
 	//gddr:allow hotpath caller-owned Decision.Loads/Utilization backing; cannot come from the pool
 	buf := make([]float64, 2*ne)
 	loads, util := buf[:ne:ne], buf[ne:]
-	if r.evalWorkers > 1 && len(sinks) > 1 {
-		if err := r.evaluateSinksParallel(dm, strat, sinks, sc, loads); err != nil {
-			return nil, err
-		}
-	} else {
-		sc.inflow = grow(sc.inflow, n)
-		for _, sink := range sinks {
-			rt, err := strat.Ratios(sink)
-			if err != nil {
-				//gddr:allow hotpath error path
-				return nil, fmt.Errorf("gddr: route sink %d: %w", sink, err)
-			}
-			if err := rt.AccumulateLoads(r.g, dm, loads, sc.inflow); err != nil {
-				//gddr:allow hotpath error path
-				return nil, fmt.Errorf("gddr: route sink %d: %w", sink, err)
-			}
-		}
-	}
-
 	//gddr:allow hotpath caller-owned Decision.Splits map, one per decision
 	splits := make(map[int][]float64, len(sinks))
 	for _, sink := range sinks {
 		rt, err := strat.Ratios(sink)
+		if err == nil {
+			err = rt.AccumulateLoads(r.g, dm, loads, sc.inflow)
+		}
 		if err != nil {
 			//gddr:allow hotpath error path
 			return nil, fmt.Errorf("gddr: route sink %d: %w", sink, err)
@@ -942,70 +906,4 @@ func (r *Router) evaluate(dm *DemandMatrix, strat *routing.Strategy) (*Decision,
 		Utilization:    util,
 		MaxUtilization: maxU,
 	}, nil
-}
-
-// evaluateSinksParallel fans the per-sink load propagation of one request
-// out over the eval workers. Each sink's contribution lands in its own row
-// of the scratch matrix and the rows are folded in sink order — each edge
-// receives exactly one addition per sink, the same floating-point sequence
-// as the sequential path, so parallel decisions are bit-identical.
-func (r *Router) evaluateSinksParallel(dm *DemandMatrix, strat *routing.Strategy, sinks []int, sc *evalScratch, loads []float64) error {
-	n := r.g.NumNodes()
-	ne := r.g.NumEdges()
-	sc.contrib = grow(sc.contrib, len(sinks)*ne)
-	workers := r.evalWorkers
-	if workers > len(sinks) {
-		workers = len(sinks)
-	}
-	var (
-		next    atomic.Int64
-		wg      sync.WaitGroup
-		errMu   sync.Mutex
-		poolErr error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Each worker needs a private inflow buffer for the whole
-			// request; one allocation per worker per request is the cost of
-			// the opt-in parallel path (WithEvalWorkers), not the default.
-			//gddr:allow hotpath per-worker scratch on the opt-in parallel path
-			inflow := make([]float64, n)
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(sinks) {
-					return
-				}
-				row := sc.contrib[i*ne : (i+1)*ne]
-				clear(row)
-				rt, err := strat.Ratios(sinks[i])
-				if err == nil {
-					err = rt.AccumulateLoads(r.g, dm, row, inflow)
-				}
-				if err != nil {
-					errMu.Lock()
-					if poolErr == nil {
-						//gddr:allow hotpath error path
-						poolErr = fmt.Errorf("gddr: route sink %d: %w", sinks[i], err)
-					}
-					errMu.Unlock()
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if poolErr != nil {
-		return poolErr
-	}
-	for i := range sinks {
-		row := sc.contrib[i*ne : (i+1)*ne]
-		for ei, c := range row {
-			if c != 0 {
-				loads[ei] += c
-			}
-		}
-	}
-	return nil
 }

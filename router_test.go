@@ -520,36 +520,6 @@ func TestRouterSteadyDemandCacheHits(t *testing.T) {
 	}
 }
 
-// TestRouterEvalWorkersBitIdentical: sink-parallel evaluation must produce
-// decisions bit-identical to the sequential path at any worker count.
-func TestRouterEvalWorkersBitIdentical(t *testing.T) {
-	g := NSFNet()
-	agent := testRouterAgent(t)
-	sequential, err := NewRouter(agent, g, WithRouterWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sequential.Close()
-	parallel, err := NewRouter(agent, g, WithRouterWorkers(1), WithEvalWorkers(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer parallel.Close()
-
-	for i := 0; i < 4; i++ {
-		dm := testDemand(g, int64(500+i))
-		ds, err := sequential.Route(context.Background(), dm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dp, err := parallel.Route(context.Background(), dm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameDecision(t, fmt.Sprintf("request %d", i), ds, dp)
-	}
-}
-
 // TestRouterBatchWindow: a serving worker with a batch window keeps
 // gathering concurrent requests instead of serving singletons, and Close
 // does not wait out the window.

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -210,6 +211,17 @@ func TestEngineRejectsInvalidEvents(t *testing.T) {
 		CapacityChange{From: 0, To: 0, Capacity: 10}, // self link
 		NodeAdd{AttachTo: nil, Capacity: 10},         // no peers
 		NodeRemove{Node: g.NumNodes() + 1},           // out of range
+	}
+	// A NaN or infinite capacity would otherwise be accepted and fail (or
+	// silently zero) every later Route on the engine.
+	if _, err := g.EdgeBetween(0, 4); err == nil {
+		t.Fatal("fixture: 0-4 must be unlinked for the LinkUp cases")
+	}
+	for _, c := range []float64{math.NaN(), math.Inf(1)} {
+		cases = append(cases,
+			CapacityChange{From: 0, To: 1, Capacity: c},
+			LinkUp{From: 0, To: 4, Capacity: c},
+			NodeAdd{AttachTo: []int{0}, Capacity: c})
 	}
 	for _, ev := range cases {
 		if err := engine.Apply(ctx, ev); err == nil {

@@ -391,9 +391,18 @@ func runBaselines(ctx context.Context, opts ExperimentOptions, progress Progress
 	if err != nil {
 		return nil, err
 	}
+	// The oblivious baselines route every matrix the same way: build each
+	// strategy once. The ECMP one is routing.InverseCapacityECMP's.
+	ecmpStrat, err := routing.NewStrategy(g, g.InverseCapacityWeights(), 10*routing.DefaultGamma)
+	if err != nil {
+		return nil, err
+	}
+	softStrat, err := routing.NewStrategy(g, g.UnitWeights(), routing.DefaultGamma)
+	if err != nil {
+		return nil, err
+	}
 	var ecmpSum, softminSum float64
 	var count int
-	unit := g.UnitWeights()
 	for _, seq := range seqs {
 		for t := opts.Memory; t < len(seq); t++ {
 			opt, err := cache.GetSeqContext(ctx, g, seq, t)
@@ -403,11 +412,11 @@ func runBaselines(ctx context.Context, opts ExperimentOptions, progress Progress
 			if opt <= 1e-12 {
 				continue
 			}
-			ecmp, err := routing.InverseCapacityECMP(g, seq[t])
+			ecmp, err := routing.EvaluateStrategy(ecmpStrat, seq[t])
 			if err != nil {
 				return nil, err
 			}
-			soft, err := routing.EvaluateWeights(g, seq[t], unit, routing.DefaultGamma)
+			soft, err := routing.EvaluateStrategy(softStrat, seq[t])
 			if err != nil {
 				return nil, err
 			}

@@ -203,9 +203,13 @@ func ShortestPathRatio(ctx context.Context, s *Scenario, memory int, cache *Opti
 	var sum float64
 	var count int
 	for _, item := range s.Items {
+		sp, err := routing.NewShortestPathStrategy(item.Graph)
+		if err != nil {
+			return 0, err
+		}
 		for _, seq := range item.Sequences {
 			for t := memory; t < len(seq); t++ {
-				res, err := routing.ShortestPath(item.Graph, seq[t])
+				res, err := routing.EvaluateStrategy(sp, seq[t])
 				if err != nil {
 					return 0, err
 				}

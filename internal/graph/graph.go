@@ -8,6 +8,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Edge is a directed link with a positive capacity.
@@ -74,8 +75,8 @@ func (g *Graph) AddEdge(from, to int, capacity float64) (int, error) {
 	if from == to {
 		return 0, fmt.Errorf("graph: self-loop at node %d rejected", from)
 	}
-	if capacity <= 0 {
-		return 0, fmt.Errorf("graph: edge (%d,%d) needs positive capacity, got %g", from, to, capacity)
+	if !(capacity > 0) || math.IsInf(capacity, 1) {
+		return 0, fmt.Errorf("graph: edge (%d,%d) needs positive finite capacity, got %g", from, to, capacity)
 	}
 	if _, err := g.EdgeBetween(from, to); err == nil {
 		return 0, fmt.Errorf("graph: duplicate edge (%d,%d)", from, to)
@@ -136,8 +137,8 @@ func (g *Graph) InEdges(v int) []int { return g.in[v] }
 
 // SetCapacity updates the capacity of edge i.
 func (g *Graph) SetCapacity(i int, capacity float64) error {
-	if capacity <= 0 {
-		return fmt.Errorf("graph: capacity must be positive, got %g", capacity)
+	if !(capacity > 0) || math.IsInf(capacity, 1) {
+		return fmt.Errorf("graph: capacity must be positive and finite, got %g", capacity)
 	}
 	g.edges[i].Capacity = capacity
 	return nil
@@ -267,8 +268,8 @@ func (g *Graph) Validate() error {
 		if e.From < 0 || e.From >= g.NumNodes() || e.To < 0 || e.To >= g.NumNodes() {
 			return fmt.Errorf("graph: edge %d endpoints out of range", ei)
 		}
-		if e.Capacity <= 0 {
-			return fmt.Errorf("graph: edge %d has non-positive capacity", ei)
+		if !(e.Capacity > 0) || math.IsInf(e.Capacity, 1) {
+			return fmt.Errorf("graph: edge %d has non-positive or non-finite capacity", ei)
 		}
 		degreeOut[e.From]++
 		degreeIn[e.To]++

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -44,8 +45,10 @@ func TestAddEdgeRejectsInvalid(t *testing.T) {
 	if _, err := g.AddEdge(0, 5, 1); err == nil {
 		t.Fatal("out-of-range endpoint accepted")
 	}
-	if _, err := g.AddEdge(0, 1, 0); err == nil {
-		t.Fatal("zero capacity accepted")
+	for _, c := range []float64{0, math.NaN(), math.Inf(1)} {
+		if _, err := g.AddEdge(0, 1, c); err == nil {
+			t.Fatalf("capacity %g accepted", c)
+		}
 	}
 	g.MustAddEdge(0, 1, 1)
 	if _, err := g.AddEdge(0, 1, 1); err == nil {
@@ -186,7 +189,14 @@ func TestCapacities(t *testing.T) {
 	if g.Edge(0).Capacity != 3 {
 		t.Fatal("capacity not updated")
 	}
-	if err := g.SetCapacity(0, -1); err == nil {
-		t.Fatal("negative capacity accepted")
+	for _, c := range []float64{-1, math.NaN(), math.Inf(1)} {
+		if err := g.SetCapacity(0, c); err == nil {
+			t.Fatalf("capacity %g accepted", c)
+		}
+		g.edges[0].Capacity = c
+		if err := g.Validate(); err == nil {
+			t.Fatalf("Validate passed an edge of capacity %g", c)
+		}
+		g.edges[0].Capacity = 3
 	}
 }

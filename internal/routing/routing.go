@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"gddr/internal/graph"
 	"gddr/internal/traffic"
@@ -29,25 +28,30 @@ const MinWeight = 1e-6
 // stabilised by shifting by the minimum entry.
 func Softmin(values []float64, gamma float64) []float64 {
 	out := make([]float64, len(values))
-	if len(values) == 0 {
-		return out
+	if len(values) > 0 {
+		softminInto(out, values, gamma)
 	}
-	minV := values[0]
-	for _, v := range values {
+	return out
+}
+
+// softminInto writes the softmin of scores (non-empty) into dst, which has
+// the same length and may be scores itself.
+func softminInto(dst, scores []float64, gamma float64) {
+	minV := scores[0]
+	for _, v := range scores {
 		if v < minV {
 			minV = v
 		}
 	}
 	var sum float64
-	for i, v := range values {
+	for i, v := range scores {
 		e := math.Exp(-gamma * (v - minV))
-		out[i] = e
+		dst[i] = e
 		sum += e
 	}
-	for i := range out {
-		out[i] /= sum
+	for i := range dst {
+		dst[i] /= sum
 	}
-	return out
 }
 
 // DestinationDAG converts the weighted graph into the loop-free DAG used for
@@ -124,32 +128,66 @@ func SplittingRatios(g *graph.Graph, sink int, weights []float64, gamma float64)
 }
 
 // splittingRatiosClamped is SplittingRatios after weight validation and
-// clamping, the shared path of the one-shot and Strategy-cached callers.
+// clamping, the shared path of the one-shot and Strategy callers.
 func splittingRatiosClamped(g *graph.Graph, sink int, clamped []float64, gamma float64) (*Ratios, error) {
 	keep, dist, err := DestinationDAG(g, sink, clamped)
 	if err != nil {
 		return nil, err
 	}
 	ratio := make([]float64, g.NumEdges())
+	var scores []float64 // one buffer, reused by every vertex
 	for v := 0; v < g.NumNodes(); v++ {
 		if v == sink || math.IsInf(dist[v], 1) {
 			continue
 		}
-		var kept []int
-		var scores []float64
+		scores = scores[:0]
 		for _, ei := range g.OutEdges(v) {
 			if keep[ei] {
-				kept = append(kept, ei)
 				scores = append(scores, clamped[ei]+dist[g.Edge(ei).To])
 			}
 		}
-		if len(kept) == 0 {
+		if len(scores) == 0 {
 			return nil, fmt.Errorf("routing: node %d has no downhill edge to sink %d", v, sink)
 		}
-		probs := Softmin(scores, gamma)
-		for i, ei := range kept {
-			ratio[ei] = probs[i]
+		softminInto(scores, scores, gamma)
+		i := 0
+		for _, ei := range g.OutEdges(v) {
+			if keep[ei] {
+				ratio[ei] = scores[i]
+				i++
+			}
 		}
+	}
+	return &Ratios{Sink: sink, Ratio: ratio, Keep: keep, Dist: dist, order: propagationOrder(dist)}, nil
+}
+
+// shortestPathRatios is the single-shortest-path routing towards sink in
+// Ratios form: every vertex forwards everything over one next hop, the
+// out-edge on a hop-count shortest path whose head has the smallest id, so
+// its row is one-hot and propagating through it multiplies loads by exactly 1.
+func shortestPathRatios(g *graph.Graph, sink int, unit []float64) (*Ratios, error) {
+	dist, err := g.DistancesTo(sink, unit)
+	if err != nil {
+		return nil, err
+	}
+	const eps = 1e-9
+	keep := make([]bool, g.NumEdges())
+	ratio := make([]float64, g.NumEdges())
+	for v := 0; v < g.NumNodes(); v++ {
+		if v == sink || math.IsInf(dist[v], 1) {
+			continue
+		}
+		best := -1
+		for _, ei := range g.OutEdges(v) {
+			to := g.Edge(ei).To
+			if math.Abs(unit[ei]+dist[to]-dist[v]) <= eps && (best == -1 || to < g.Edge(best).To) {
+				best = ei
+			}
+		}
+		if best == -1 {
+			return nil, fmt.Errorf("routing: no shortest-path next hop at node %d towards %d", v, sink)
+		}
+		keep[best], ratio[best] = true, 1
 	}
 	return &Ratios{Sink: sink, Ratio: ratio, Keep: keep, Dist: dist, order: propagationOrder(dist)}, nil
 }
@@ -173,8 +211,8 @@ func propagationOrder(dist []float64) []int {
 // Loads ADDS into loads without zeroing it first — that is how the per-sink
 // results compose into one total-load vector. A caller reusing a loads
 // buffer across evaluations must therefore zero it between them, or the
-// previous evaluation's loads silently double-count (EvaluateWeights and
-// the Router serving path do exactly this reset).
+// previous evaluation's loads silently double-count (Strategy.Evaluate does
+// exactly this reset).
 func (r *Ratios) Loads(g *graph.Graph, dm *traffic.DemandMatrix, loads []float64) error {
 	return r.AccumulateLoads(g, dm, loads, nil)
 }
@@ -210,13 +248,7 @@ func (r *Ratios) AccumulateLoads(g *graph.Graph, dm *traffic.DemandMatrix, loads
 	if total == 0 {
 		return nil
 	}
-	order := r.order
-	if order == nil {
-		// Ratios assembled by hand (tests) lack the precomputed order.
-		//gddr:allow hotpath built strategies precompute the order; only hand-assembled Ratios pay this
-		order = propagationOrder(r.Dist)
-	}
-	for _, v := range order {
+	for _, v := range r.order {
 		if v == r.Sink || inflow[v] == 0 {
 			continue
 		}
@@ -236,25 +268,22 @@ func (r *Ratios) AccumulateLoads(g *graph.Graph, dm *traffic.DemandMatrix, loads
 	return nil
 }
 
-// Strategy is one fully-specified routing strategy: the per-sink splitting
-// ratios induced by a (weights, gamma) pair on one graph, built lazily per
-// sink and cached. It is the unit the serving fast path reuses across
-// request batches while the policy keeps emitting the same weights — the
-// softmin translation (§VI) runs once per sink per strategy instead of once
-// per sink per batch. A Strategy is immutable once a sink is built and safe
-// for concurrent use.
+// Strategy is one fully-specified routing strategy: the complete table of
+// per-sink splitting ratios induced by a (weights, gamma) pair on one graph.
+// It is the unit the serving fast path reuses across request batches while
+// the policy keeps emitting the same weights — the softmin translation (§VI)
+// runs once per strategy instead of once per batch. A Strategy is complete
+// when its constructor returns and is never written again, so it is safe for
+// concurrent use without a lock.
 type Strategy struct {
 	g       *graph.Graph
 	weights []float64 // caller-supplied weights (pre-clamp), the cache key
-	clamped []float64
 	gamma   float64
-
-	mu    sync.RWMutex
-	sinks []*Ratios //gddr:guardedby mu  // indexed by sink; nil until first requested
+	sinks   []*Ratios // indexed by sink, every entry built
 }
 
-// NewStrategy validates (weights, gamma) for g and returns an empty
-// strategy; per-sink ratios are built on first use. weights is copied.
+// NewStrategy validates (weights, gamma) for g and builds the splitting
+// ratios towards every sink. weights is copied.
 func NewStrategy(g *graph.Graph, weights []float64, gamma float64) (*Strategy, error) {
 	if gamma <= 0 {
 		return nil, fmt.Errorf("routing: gamma must be positive, got %g", gamma)
@@ -266,13 +295,34 @@ func NewStrategy(g *graph.Graph, weights []float64, gamma float64) (*Strategy, e
 	if err != nil {
 		return nil, err
 	}
-	return &Strategy{
-		g:       g,
-		weights: append([]float64(nil), weights...),
-		clamped: clamped,
-		gamma:   gamma,
-		sinks:   make([]*Ratios, g.NumNodes()),
-	}, nil
+	return newStrategy(g, append([]float64(nil), weights...), gamma, func(sink int) (*Ratios, error) {
+		return splittingRatiosClamped(g, sink, clamped, gamma)
+	})
+}
+
+// NewShortestPathStrategy builds classic single-shortest-path routing (hop
+// count, deterministic smallest-id tie break) as a Strategy: the baseline
+// drawn as a dotted line in the paper's Figures 6 and 8. Its Weights are
+// the unit weights and its Gamma is 0, a value NewStrategy rejects, so it
+// never Matches a softmin strategy's key.
+func NewShortestPathStrategy(g *graph.Graph) (*Strategy, error) {
+	unit := g.UnitWeights()
+	return newStrategy(g, unit, 0, func(sink int) (*Ratios, error) {
+		return shortestPathRatios(g, sink, unit)
+	})
+}
+
+// newStrategy fills the per-sink table with build, taking ownership of weights.
+func newStrategy(g *graph.Graph, weights []float64, gamma float64, build func(sink int) (*Ratios, error)) (*Strategy, error) {
+	s := &Strategy{g: g, weights: weights, gamma: gamma, sinks: make([]*Ratios, g.NumNodes())}
+	for sink := range s.sinks {
+		rt, err := build(sink)
+		if err != nil {
+			return nil, fmt.Errorf("routing: sink %d: %w", sink, err)
+		}
+		s.sinks[sink] = rt
+	}
+	return s, nil
 }
 
 // Gamma returns the softmin spread the strategy was built with.
@@ -296,29 +346,59 @@ func (s *Strategy) Matches(weights []float64, gamma float64) bool {
 	return true
 }
 
-// Ratios returns the splitting ratios towards sink, building and caching
-// them on first request. Safe for concurrent use; racing builders for the
-// same sink compute identical ratios and the first stored result wins.
-func (s *Strategy) Ratios(sink int) (*Ratios, error) {
-	s.mu.RLock()
-	rt := s.sinks[sink]
-	s.mu.RUnlock()
-	if rt != nil {
-		return rt, nil
+// Ratios returns the splitting ratios towards sink (a node index of the
+// strategy's graph). They are shared and read-only. The error is always
+// nil: the constructor built every sink.
+func (s *Strategy) Ratios(sink int) (*Ratios, error) { return s.sinks[sink], nil }
+
+// Scratch holds the buffers Strategy.Evaluate reuses from call to call, so a
+// caller that keeps one evaluates without allocating. The zero value is
+// ready to use; one Scratch serves one Evaluate at a time.
+type Scratch struct {
+	// InSums is, after Evaluate, the total demand destined for each node in
+	// the matrix just evaluated; InSums[v] != 0 marks the sinks whose ratios
+	// carried load.
+	InSums []float64
+	inflow []float64
+}
+
+// Evaluate is the module's one load evaluator: it propagates every sink's
+// demand in dm through the strategy's ratios (sinks in increasing index,
+// those without demand skipped), overwrites loads and util (len NumEdges
+// each) with the per-edge traffic and load/capacity, and returns the maximum
+// utilisation.
+//
+//gddr:hotpath
+func (s *Strategy) Evaluate(dm *traffic.DemandMatrix, sc *Scratch, loads, util []float64) (float64, error) {
+	g := s.g
+	n := g.NumNodes()
+	if dm.N != n {
+		//gddr:allow hotpath size-mismatch error path
+		return 0, fmt.Errorf("routing: demand matrix size %d != graph nodes %d", dm.N, n)
 	}
-	//gddr:allow hotpath ratios build once per (strategy, sink) and are cached; steady state hits the read path above
-	rt, err := splittingRatiosClamped(s.g, sink, s.clamped, s.gamma)
-	if err != nil {
-		return nil, err
+	if len(sc.InSums) != n {
+		//gddr:allow hotpath scratch is sized once per graph, then reused
+		sc.InSums, sc.inflow = make([]float64, n), make([]float64, n)
 	}
-	s.mu.Lock()
-	if prev := s.sinks[sink]; prev != nil {
-		rt = prev
-	} else {
-		s.sinks[sink] = rt
+	dm.InSums(sc.InSums)
+	clear(loads)
+	for sink, in := range sc.InSums {
+		if in == 0 {
+			continue
+		}
+		if err := s.sinks[sink].AccumulateLoads(g, dm, loads, sc.inflow); err != nil {
+			//gddr:allow hotpath invalid-demand error path
+			return 0, fmt.Errorf("routing: sink %d: %w", sink, err)
+		}
 	}
-	s.mu.Unlock()
-	return rt, nil
+	maxU := 0.0
+	for ei := range loads {
+		util[ei] = loads[ei] / g.Edge(ei).Capacity
+		if util[ei] > maxU {
+			maxU = util[ei]
+		}
+	}
+	return maxU, nil
 }
 
 // Result is the outcome of evaluating a routing strategy on a demand matrix.
@@ -341,15 +421,11 @@ func (r *Result) MeanUtilization() float64 {
 	return sum / float64(len(r.Utilization))
 }
 
-// EvaluateWeights runs the full softmin routing translation for every
-// destination with demand and returns the maximum link utilisation, the
-// paper's evaluation metric. It builds a one-shot Strategy; serving code
-// that reuses weights across demand matrices should hold the Strategy
-// itself and call EvaluateStrategy.
+// EvaluateWeights runs the full softmin routing translation and returns the
+// maximum link utilisation, the paper's evaluation metric. It builds a
+// one-shot Strategy; code that reuses weights across demand matrices should
+// hold the Strategy itself and call EvaluateStrategy.
 func EvaluateWeights(g *graph.Graph, dm *traffic.DemandMatrix, weights []float64, gamma float64) (*Result, error) {
-	if len(weights) != g.NumEdges() {
-		return nil, fmt.Errorf("routing: %d weights for %d edges", len(weights), g.NumEdges())
-	}
 	strat, err := NewStrategy(g, weights, gamma)
 	if err != nil {
 		return nil, err
@@ -357,132 +433,26 @@ func EvaluateWeights(g *graph.Graph, dm *traffic.DemandMatrix, weights []float64
 	return EvaluateStrategy(strat, dm)
 }
 
-// EvaluateStrategy evaluates a (possibly cached) strategy on one demand
-// matrix: per-sink demand propagated through the splitting ratios, loads
-// accumulated in sink order.
-//
-//gddr:hotpath
+// EvaluateStrategy evaluates a strategy on one demand matrix into a fresh,
+// caller-owned Result.
 func EvaluateStrategy(strat *Strategy, dm *traffic.DemandMatrix) (*Result, error) {
-	g := strat.g
-	n := g.NumNodes()
-	if dm.N != n {
-		//gddr:allow hotpath size-mismatch error path
-		return nil, fmt.Errorf("routing: demand matrix size %d != graph nodes %d", dm.N, n)
+	ne := strat.g.NumEdges()
+	res := &Result{Loads: make([]float64, ne), Utilization: make([]float64, ne)}
+	var err error
+	if res.MaxUtilization, err = strat.Evaluate(dm, new(Scratch), res.Loads, res.Utilization); err != nil {
+		return nil, err
 	}
-	// The three setup buffers and the Result below are this function's
-	// contract: the caller owns Loads/Utilization, so they cannot come from
-	// a pool. The per-sink loop between them is what must stay clean — the
-	// Router's per-request path (Router.evaluate) reuses pooled scratch and
-	// pays none of these.
-	//gddr:allow hotpath caller-owned result setup, one allocation set per evaluation
-	insums := make([]float64, n)
-	dm.InSums(insums)
-	//gddr:allow hotpath caller-owned result buffer (Result.Loads)
-	loads := make([]float64, g.NumEdges())
-	//gddr:allow hotpath per-evaluation scratch; Router.evaluate passes pooled scratch instead
-	inflow := make([]float64, n)
-	for sink := 0; sink < n; sink++ {
-		if insums[sink] == 0 {
-			continue
-		}
-		ratios, err := strat.Ratios(sink)
-		if err != nil {
-			//gddr:allow hotpath error path
-			return nil, fmt.Errorf("routing: sink %d: %w", sink, err)
-		}
-		if err := ratios.AccumulateLoads(g, dm, loads, inflow); err != nil {
-			//gddr:allow hotpath error path
-			return nil, fmt.Errorf("routing: sink %d: %w", sink, err)
-		}
-	}
-	//gddr:allow hotpath caller-owned result buffer (Result.Utilization)
-	util := make([]float64, g.NumEdges())
-	uMax := 0.0
-	for ei := range util {
-		util[ei] = loads[ei] / g.Edge(ei).Capacity
-		if util[ei] > uMax {
-			uMax = util[ei]
-		}
-	}
-	//gddr:allow hotpath the Result envelope is the caller's, one per evaluation
-	return &Result{MaxUtilization: uMax, Loads: loads, Utilization: util}, nil
+	return res, nil
 }
 
-// ShortestPath evaluates classic single-shortest-path routing (hop count,
-// deterministic smallest-id tie break), the baseline drawn as a dotted line
-// in the paper's Figures 6 and 8.
+// ShortestPath evaluates the shortest-path baseline on one demand matrix;
+// see NewShortestPathStrategy.
 func ShortestPath(g *graph.Graph, dm *traffic.DemandMatrix) (*Result, error) {
-	if dm.N != g.NumNodes() {
-		return nil, fmt.Errorf("routing: demand matrix size %d != graph nodes %d", dm.N, g.NumNodes())
+	strat, err := NewShortestPathStrategy(g)
+	if err != nil {
+		return nil, err
 	}
-	weights := g.UnitWeights()
-	loads := make([]float64, g.NumEdges())
-	const eps = 1e-9
-	for sink := 0; sink < g.NumNodes(); sink++ {
-		if dm.InSum(sink) == 0 {
-			continue
-		}
-		dist, err := g.DistancesTo(sink, weights)
-		if err != nil {
-			return nil, err
-		}
-		// next[v] is the single next-hop edge from v towards the sink.
-		next := make([]int, g.NumNodes())
-		for v := range next {
-			next[v] = -1
-		}
-		for v := 0; v < g.NumNodes(); v++ {
-			if v == sink || math.IsInf(dist[v], 1) {
-				continue
-			}
-			bestEdge := -1
-			bestTo := -1
-			for _, ei := range g.OutEdges(v) {
-				to := g.Edge(ei).To
-				if math.Abs(weights[ei]+dist[to]-dist[v]) <= eps {
-					if bestEdge == -1 || to < bestTo {
-						bestEdge = ei
-						bestTo = to
-					}
-				}
-			}
-			if bestEdge == -1 {
-				return nil, fmt.Errorf("routing: no shortest-path next hop at node %d towards %d", v, sink)
-			}
-			next[v] = bestEdge
-		}
-		// Propagate in decreasing-distance order.
-		order := make([]int, g.NumNodes())
-		for i := range order {
-			order[i] = i
-		}
-		sort.Slice(order, func(i, j int) bool { return dist[order[i]] > dist[order[j]] })
-		inflow := make([]float64, g.NumNodes())
-		for s := 0; s < g.NumNodes(); s++ {
-			d := dm.At(s, sink)
-			if d > 0 && math.IsInf(dist[s], 1) {
-				return nil, fmt.Errorf("routing: node %d cannot reach sink %d but has demand", s, sink)
-			}
-			inflow[s] = d
-		}
-		for _, v := range order {
-			if v == sink || inflow[v] == 0 || next[v] < 0 {
-				continue
-			}
-			loads[next[v]] += inflow[v]
-			inflow[g.Edge(next[v]).To] += inflow[v]
-			inflow[v] = 0
-		}
-	}
-	util := make([]float64, g.NumEdges())
-	uMax := 0.0
-	for ei := range util {
-		util[ei] = loads[ei] / g.Edge(ei).Capacity
-		if util[ei] > uMax {
-			uMax = util[ei]
-		}
-	}
-	return &Result{MaxUtilization: uMax, Loads: loads, Utilization: util}, nil
+	return EvaluateStrategy(strat, dm)
 }
 
 // InverseCapacityECMP evaluates softmin routing with oblivious inverse-

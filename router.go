@@ -66,8 +66,8 @@ type Decision struct {
 // observe/forward/strategy stages are shared by the whole batch (one
 // observation and forward pass serve every member); queue-wait and evaluate
 // are this request's own. A policy-cache hit zeroes observe and forward; a
-// strategy-cache hit zeroes strategy — this is how the ~4µs cached and
-// ~340µs uncached paths are individually attributable.
+// strategy-cache hit zeroes strategy — this is how the cached and uncached
+// paths are individually attributable.
 type RouteTrace struct {
 	// BatchSize is the number of requests served by this request's batch.
 	BatchSize int `json:"batch_size"`
@@ -78,10 +78,11 @@ type RouteTrace struct {
 	ObserveNS int64 `json:"observe_ns"`
 	// ForwardNS covers the policy forward pass(es) (0 on a policy-cache hit).
 	ForwardNS int64 `json:"forward_ns"`
-	// StrategyNS is the softmin routing-strategy build (0 on a strategy-cache
-	// hit).
+	// StrategyNS is the softmin routing-strategy build, every sink's
+	// splitting ratios included (0 on a strategy-cache hit).
 	StrategyNS int64 `json:"strategy_ns"`
-	// EvaluateNS is this request's demand propagation and Decision assembly.
+	// EvaluateNS is this request's demand propagation and Decision assembly
+	// only; it builds no ratios.
 	EvaluateNS int64 `json:"evaluate_ns"`
 	// PolicyCacheHit reports whether the batch reused the cached policy
 	// output (no observation, no forward pass).
@@ -169,7 +170,7 @@ type Router struct {
 	strategy *routing.Strategy //gddr:guardedby cacheMu
 
 	observers sync.Pool // *env.Observer, one in flight per serving worker
-	scratch   sync.Pool // *evalScratch, one in flight per evaluation
+	scratch   sync.Pool // *routing.Scratch, one in flight per evaluation
 
 	// registry holds the serving instruments met points into. They are the
 	// only serving counters: Stats() is a view over them, and a registry
@@ -234,23 +235,6 @@ type policyOutput struct {
 	window  []*DemandMatrix
 	weights []float64
 	gamma   float64
-}
-
-// evalScratch holds the per-request evaluation buffers: demand in-sums,
-// propagation inflow, and the sinks-with-demand list.
-type evalScratch struct {
-	insums []float64
-	inflow []float64
-	sinks  []int
-}
-
-// grow returns buf resized to n, reusing its backing array when possible.
-func grow[T any](buf []T, n int) []T {
-	if cap(buf) < n {
-		//gddr:allow hotpath scratch resize runs once per topology change, then the buffer is reused
-		return make([]T, n)
-	}
-	return buf[:n]
 }
 
 // demandHistory is the sliding window of the most recently routed demand
@@ -395,7 +379,7 @@ func newRouter(agent *Agent, g *Graph, cfg routerConfig) (*Router, error) {
 		quit:        make(chan struct{}),
 	}
 	r.observers.New = func() any { return new(env.Observer) }
-	r.scratch.New = func() any { return new(evalScratch) }
+	r.scratch.New = func() any { return new(routing.Scratch) }
 	r.hist = cfg.hist
 	if r.hist == nil {
 		r.hist = newDemandHistory(ecfg.Memory)
@@ -498,20 +482,6 @@ func (r *Router) Metrics() *metrics.Registry { return r.registry }
 func (r *Router) Close() {
 	r.closeOnce.Do(func() { close(r.quit) })
 	r.wg.Wait()
-}
-
-// historySnapshot copies the current demand history (oldest first), so the
-// Engine can carry observations across a topology or model swap.
-func (r *Router) historySnapshot() []*DemandMatrix {
-	return r.hist.snapshot()
-}
-
-// setHistory replaces the demand history (oldest first), trimming to the
-// memory window. The Engine uses it to carry the drained predecessor's
-// final history into a replacement snapshot before publishing it; the
-// matrices must already be sized for the router's topology.
-func (r *Router) setHistory(hist []*DemandMatrix) {
-	r.hist.set(hist)
 }
 
 func (r *Router) worker() {
@@ -845,57 +815,34 @@ func (r *Router) infer(obs *env.Observation) ([]float64, float64, int, error) {
 }
 
 // evaluate derives the full Decision for dm under the batch's routing
-// strategy. The demand in-sums are precomputed in one pass (replacing the
-// per-sink column scans), propagation runs through pooled scratch buffers,
-// and the strategy supplies cached per-sink splitting ratios. Only the
+// strategy: Strategy.Evaluate propagates the demand through pooled scratch,
+// and the ratio rows of the sinks that carried load are copied out. Only the
 // caller-owned Decision fields are allocated.
 func (r *Router) evaluate(dm *DemandMatrix, strat *routing.Strategy) (*Decision, error) {
-	n := r.g.NumNodes()
 	ne := r.g.NumEdges()
-	sc := r.scratch.Get().(*evalScratch)
+	sc := r.scratch.Get().(*routing.Scratch)
 	defer r.scratch.Put(sc)
-	sc.insums = grow(sc.insums, n)
-	dm.InSums(sc.insums)
-	sc.sinks = grow(sc.sinks, n)
-	nSinks := 0
-	for v, in := range sc.insums {
-		if in != 0 {
-			sc.sinks[nSinks] = v
-			nSinks++
-		}
-	}
-	sinks := sc.sinks[:nSinks]
-	sc.inflow = grow(sc.inflow, n)
-
-	// One backing array for the two per-edge result slices; it is fresh per
-	// request and so starts zeroed, which accumulation requires (see
-	// Ratios.Loads' accumulation contract).
+	// One backing array for the two per-edge result slices.
 	//gddr:allow hotpath caller-owned Decision.Loads/Utilization backing; cannot come from the pool
 	buf := make([]float64, 2*ne)
 	loads, util := buf[:ne:ne], buf[ne:]
+	maxU, err := strat.Evaluate(dm, sc, loads, util)
+	if err != nil {
+		//gddr:allow hotpath error path
+		return nil, fmt.Errorf("gddr: route: %w", err)
+	}
+	// Sized for every node: served demand is dense, all n are sinks.
 	//gddr:allow hotpath caller-owned Decision.Splits map, one per decision
-	splits := make(map[int][]float64, len(sinks))
-	for _, sink := range sinks {
-		rt, err := strat.Ratios(sink)
-		if err == nil {
-			err = rt.AccumulateLoads(r.g, dm, loads, sc.inflow)
+	splits := make(map[int][]float64, len(sc.InSums))
+	for sink, in := range sc.InSums {
+		if in == 0 {
+			continue
 		}
-		if err != nil {
-			//gddr:allow hotpath error path
-			return nil, fmt.Errorf("gddr: route sink %d: %w", sink, err)
-		}
-		//gddr:allow hotpath caller-owned copy of the cached ratios; the cache stays immutable
+		rt, _ := strat.Ratios(sink) // never fails, see Strategy.Ratios
+		//gddr:allow hotpath caller-owned copy of the shared ratios; the strategy stays immutable
 		splits[sink] = append([]float64(nil), rt.Ratio...)
 	}
-	maxU := 0.0
-	for ei := range util {
-		util[ei] = loads[ei] / r.g.Edge(ei).Capacity
-		if util[ei] > maxU {
-			maxU = util[ei]
-		}
-	}
-	// The Decision and its Weights copy are the caller's to keep; everything
-	// reusable above came from the scratch pool.
+	// The Decision and its Weights copy are the caller's to keep.
 	//gddr:allow hotpath caller-owned Decision envelope, one per request
 	return &Decision{
 		//gddr:allow hotpath caller-owned copy of the cached weights

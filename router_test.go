@@ -89,6 +89,50 @@ func TestRouterRouteDecision(t *testing.T) {
 	}
 }
 
+// TestRouterSparseDemand: a decision carries the splitting ratios of exactly
+// the sinks that have demand — one for a single-pair matrix, whose load is
+// conserved from source to sink, and none for an all-zero matrix.
+func TestRouterSparseDemand(t *testing.T) {
+	g := Abilene()
+	router, err := NewRouter(testRouterAgent(t), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Close()
+
+	const src, sink, demand = 2, 7, 9.0
+	dm := traffic.NewDemandMatrix(g.NumNodes())
+	dm.Set(src, sink, demand)
+	d, err := router.Route(context.Background(), dm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(d.Splits) != 1 || len(d.Splits[sink]) != g.NumEdges() {
+		t.Fatalf("splits %v, want exactly sink %d", d.Splits, sink)
+	}
+	var left, arrived float64
+	for _, ei := range g.OutEdges(src) {
+		left += d.Loads[ei]
+	}
+	for _, ei := range g.InEdges(src) {
+		left -= d.Loads[ei]
+	}
+	for _, ei := range g.InEdges(sink) {
+		arrived += d.Loads[ei]
+	}
+	if math.Abs(left-demand) > 1e-9 || math.Abs(arrived-demand) > 1e-9 {
+		t.Fatalf("demand %g: %g left the source, %g reached the sink", demand, left, arrived)
+	}
+
+	d, err = router.Route(context.Background(), traffic.NewDemandMatrix(g.NumNodes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.MaxUtilization != 0 || len(d.Splits) != 0 {
+		t.Fatalf("all-zero demand: MLU %g, splits %v", d.MaxUtilization, d.Splits)
+	}
+}
+
 func TestRouterConcurrentRoute(t *testing.T) {
 	g := Abilene()
 	router, err := NewRouter(testRouterAgent(t), g, WithRouterWorkers(4), WithMaxBatch(8))

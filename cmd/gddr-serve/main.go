@@ -70,8 +70,8 @@ func run() error {
 		memory     = flag.Int("memory", 3, "demand history length (must match training)")
 		hidden     = flag.Int("gnn-hidden", 16, "GNN latent width (must match training)")
 		msgSteps   = flag.Int("gnn-steps", 2, "GNN message-passing steps (must match training)")
-		replicas   = flag.Int("replicas", 1, "read replicas serving the default tenant")
-		workers    = flag.Int("workers", 0, "serving goroutines per replica (0: GOMAXPROCS)")
+		replicas   = flag.Int("replicas", 1, "serve-slot multiplier for the default tenant (slots = workers x replicas)")
+		workers    = flag.Int("workers", 0, "serve slots per replica (0: GOMAXPROCS)")
 		maxBatch   = flag.Int("max-batch", 16, "max requests sharing one forward pass")
 		logFormat  = flag.String("log-format", "text", "log line format: text or json")
 		pprofOn    = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")

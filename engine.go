@@ -19,29 +19,24 @@ import (
 // topology through typed events and the same trained policy immediately
 // routes on the mutated graph, while SwapAgent hot-reloads the model.
 //
-// Internally the engine keeps an immutable serving snapshot (one or more
-// replica Routers bound to one frozen graph and sharing one demand history
-// — see WithReplicas) behind an atomic pointer. Route reads the snapshot
-// lock-free and spreads across the replicas round-robin; Apply and the swap
-// operations build a fully-validated replacement snapshot — mutated graph,
-// consistently renumbered demand history, probe-checked policy, a fresh
-// replica set — then publish it atomically and drain the old one.
+// Internally the engine keeps an immutable serving snapshot — one Router,
+// with one demand history and one serving cache, bound to one frozen graph
+// (WithReplicas scales its serve slots) — behind an atomic pointer. Route
+// reads the snapshot lock-free; Apply and the swap operations build a
+// fully-validated replacement snapshot — mutated graph, consistently
+// renumbered demand history, probe-checked policy, a fresh Router — then
+// publish it atomically and drain the old one.
 // In-flight Route calls complete on the snapshot that accepted them; calls
 // that lose the race to a retiring snapshot transparently retry on the new
 // one, so callers never observe a swap as an error. A failed event or swap
 // leaves the current snapshot serving untouched.
 type Engine struct {
-	cfg routerConfig // workers/maxBatch reused for every rebuild
+	cfg routerConfig // workers/replicas/maxBatch reused for every rebuild
 
 	mu     sync.Mutex // serialises Apply/SwapAgent/SwapCheckpoint/Close
 	closed bool       //gddr:guardedby mu
 
 	state atomic.Pointer[engineState] //gddr:guardedby mu
-
-	// rr spreads Route calls across the current snapshot's read replicas
-	// round-robin; a single counter (rather than per-state) keeps the spread
-	// even across republishes.
-	rr atomic.Uint64
 
 	// registry is pinned for the engine's lifetime and shared with every
 	// snapshot's routers, which register into it idempotently: the serving
@@ -76,18 +71,14 @@ func newEngineMetrics(reg *metrics.Registry) *engineMetrics {
 	}
 }
 
-// engineState is one immutable serving snapshot: N replica routers cloned
-// from the same (agent, graph, history) state, sharing one demand history
-// so any replica's decisions observe the full traffic stream. The replica
-// set is published and replaced as a whole behind the engine's atomic state
-// pointer — no request can ever observe a half-published set. next is
-// closed when the snapshot is replaced (or the engine closes), waking Route
-// callers that hit the drain window of a swap. nodes/edges cache the
-// topology's shape at build time so Stats and Snapshot never touch the
-// graph on the read path.
+// engineState is one immutable serving snapshot: the Router serving
+// (agent, graph) with its demand history, published and replaced as a whole
+// behind the engine's atomic state pointer. next is closed when the
+// snapshot is replaced (or the engine closes), waking Route callers that
+// hit the drain window of a swap. nodes/edges cache the topology's shape at
+// build time so Stats and Snapshot never touch the graph on the read path.
 type engineState struct {
-	routers []*Router
-	hist    *demandHistory
+	router  *Router
 	agent   *Agent
 	version int64
 	nodes   int
@@ -111,7 +102,7 @@ type EngineStats struct {
 	// Nodes and Edges describe the current topology.
 	Nodes int `json:"nodes"`
 	Edges int `json:"edges"`
-	// Replicas is the number of read replicas serving the current snapshot.
+	// Replicas is the configured WithReplicas serve-slot multiplier.
 	Replicas int `json:"replicas"`
 }
 
@@ -125,7 +116,8 @@ type TopologySnapshot struct {
 	// Nodes and Edges describe the topology currently served.
 	Nodes int `json:"nodes"`
 	Edges int `json:"edges"`
-	// Replicas is the number of read replicas serving the snapshot.
+	// Replicas is the configured WithReplicas serve-slot multiplier (0
+	// after Close).
 	Replicas int `json:"replicas"`
 }
 
@@ -141,7 +133,7 @@ func (e *Engine) Snapshot() TopologySnapshot {
 		Version:  st.version,
 		Nodes:    st.nodes,
 		Edges:    st.edges,
-		Replicas: len(st.routers),
+		Replicas: e.cfg.replicas,
 	}
 }
 
@@ -182,47 +174,29 @@ func NewEngine(agent *Agent, g *Graph, opts ...RouterOption) (*Engine, error) {
 	e.registry.GaugeFunc("gddr_engine_topology_edges", "Edges in the topology currently served.", func() float64 {
 		return float64(e.Snapshot().Edges)
 	})
-	e.registry.GaugeFunc("gddr_engine_replicas", "Read replicas serving the current snapshot (0 after Close).", func() float64 {
+	e.registry.GaugeFunc("gddr_engine_replicas", "Configured serve-slot multiplier of the current snapshot (0 after Close).", func() float64 {
 		return float64(e.Snapshot().Replicas)
 	})
 	e.state.Store(st)
 	return e, nil
 }
 
-// buildEngineState builds one serving snapshot: cfg.replicas routers around
-// (agent, g), all sharing a fresh demand history seeded with hist. The
-// first replica is probe-validated unless skipProbe (it stands for all of
-// them — every replica runs the same policy on the same graph); the rest
-// always skip the probe. On any failure the routers built so far are closed
-// and nothing is published.
+// buildEngineState builds one serving snapshot: a Router around (agent, g)
+// with workers × replicas serve slots and its history seeded with hist,
+// probe-validated unless skipProbe. On failure nothing is published.
 func buildEngineState(agent *Agent, g *Graph, cfg routerConfig, hist []*DemandMatrix, skipProbe bool, version int64) (*engineState, error) {
 	if agent == nil {
 		return nil, fmt.Errorf("gddr: engine needs an agent")
 	}
-	for _, dm := range hist {
-		if dm == nil || dm.N != g.NumNodes() {
-			return nil, fmt.Errorf("gddr: warm-history matrix does not match the %d-node topology", g.NumNodes())
-		}
-	}
-	shared := newDemandHistory(agent.envConfig().Memory)
-	shared.set(hist)
-	cfg.history = nil
-	cfg.hist = shared
-	routers := make([]*Router, cfg.replicas)
-	for i := range routers {
-		cfg.skipProbe = skipProbe || i > 0
-		r, err := newRouter(agent, g, cfg)
-		if err != nil {
-			for _, prev := range routers[:i] {
-				prev.Close()
-			}
-			return nil, err
-		}
-		routers[i] = r
+	cfg.workers *= cfg.replicas
+	cfg.history = hist
+	cfg.skipProbe = skipProbe
+	r, err := newRouter(agent, g, cfg)
+	if err != nil {
+		return nil, err
 	}
 	return &engineState{
-		routers: routers,
-		hist:    shared,
+		router:  r,
 		agent:   agent,
 		version: version,
 		nodes:   g.NumNodes(),
@@ -235,13 +209,12 @@ func buildEngineState(agent *Agent, g *Graph, cfg routerConfig, hist []*DemandMa
 // engine's own event/swap metrics live in — the process's /metrics source.
 func (e *Engine) Metrics() *metrics.Registry { return e.registry }
 
-// Route computes the routing decision for dm on the current topology,
-// spreading calls round-robin across the snapshot's read replicas (see
-// WithReplicas). It is safe for concurrent use and never fails because of a
-// concurrent Apply or swap: a request that races with a snapshot retirement
-// waits out the drain (at most one in-flight batch) and retries on the
-// replacement. After Close it returns ErrClosed; a demand matrix sized for
-// a stale topology returns a size-mismatch error. As with Router.Route, dm
+// Route computes the routing decision for dm on the current topology. It is
+// safe for concurrent use and never fails because of a concurrent Apply or
+// swap: a request that races with a snapshot retirement waits out the drain
+// (at most one in-flight batch) and retries on the replacement. After Close
+// it returns ErrClosed; a demand matrix sized for a stale topology returns a
+// size-mismatch error. As with Router.Route, dm
 // joins the demand history and must not be modified after the call.
 //
 //gddr:hotpath
@@ -254,8 +227,7 @@ func (e *Engine) Route(ctx context.Context, dm *DemandMatrix) (*Decision, error)
 		if st == nil {
 			return nil, ErrClosed
 		}
-		r := st.routers[int(e.rr.Add(1)-1)%len(st.routers)]
-		d, err := r.Route(ctx, dm)
+		d, err := st.router.Route(ctx, dm)
 		if errors.Is(err, ErrClosed) {
 			select {
 			case <-st.next: // snapshot replaced (or engine closed); retry
@@ -271,10 +243,9 @@ func (e *Engine) Route(ctx context.Context, dm *DemandMatrix) (*Decision, error)
 // Apply atomically applies a sequence of topology events: the routing state
 // is rebuilt on the mutated graph, the demand history is renumbered
 // consistently (dropped rows for removed nodes, zero rows for added ones),
-// the serving fast-path caches (policy output and routing strategy) die
-// with the old snapshot so a cached strategy can never route on a stale
-// graph, and the policy is probe-validated on the new topology before it
-// serves. Events are
+// the serving cache (policy output and routing strategy) dies with the old
+// snapshot so a cached strategy can never route on a stale graph, and the
+// policy is probe-validated on the new topology before it serves. Events are
 // all-or-nothing: the first invalid event (unknown link, disconnecting
 // removal, ...) rejects the whole call and the current topology keeps
 // serving. Apply returns only after in-flight requests on the old topology
@@ -366,7 +337,7 @@ func (e *Engine) SwapCheckpoint(ctx context.Context, r io.Reader) error {
 	st := e.state.Load()
 	// The MLP constructor sizes itself from a scenario's topology; hand it
 	// the topology currently being served.
-	scen := &Scenario{Items: []ScenarioItem{{Graph: st.routers[0].Graph()}}}
+	scen := &Scenario{Items: []ScenarioItem{{Graph: st.router.Graph()}}}
 	agent, err := NewAgent(st.agent.Kind, scen, WithConfig(st.agent.Config))
 	if err != nil {
 		return fmt.Errorf("gddr: rebuilding serving architecture: %w", err)
@@ -384,24 +355,23 @@ func (e *Engine) SwapCheckpoint(ctx context.Context, r io.Reader) error {
 // replaceLocked swaps the serving snapshot to (agent, transform(old)) with
 // validation before disruption and no lost observations:
 //
-//  1. The transition is validated and the replacement — every read replica
-//     of it — built and probe-checked against a provisional history, all
-//     while the old snapshot keeps serving — a rejected event or
-//     incompatible agent returns here with serving untouched.
-//  2. The old snapshot's replicas are drained, so its demand history is
-//     final; Route callers arriving in this window wait on old.next
-//     instead of failing.
+//  1. The transition is validated and the replacement built and
+//     probe-checked against a provisional history, all while the old
+//     snapshot keeps serving — a rejected event or incompatible agent
+//     returns here with serving untouched.
+//  2. The old snapshot's Router is closed, which drains its in-flight
+//     batches, so its demand history is final; Route callers arriving in
+//     this window wait on old.next instead of failing.
 //  3. The final history is re-transformed and carried into the replacement,
-//     which is then published as a whole: the replica set swaps behind one
-//     atomic store, so no request can observe a mix of old and new
-//     replicas. No demand matrix routed on the old snapshot is lost, and
-//     every post-return decision is computed on the new state.
+//     which is then published behind one atomic store. No demand matrix
+//     routed on the old snapshot is lost, and every post-return decision is
+//     computed on the new state.
 //
 // skipProbe elides the probe forward pass for rebuilds around an
 // already-validated graph-size-agnostic agent. Callers hold e.mu.
 func (e *Engine) replaceLocked(old *engineState, agent *Agent, transform func(*Graph, []*DemandMatrix) (*Graph, []*DemandMatrix, error), skipProbe bool) error {
-	g := old.routers[0].Graph()
-	g2, hist, err := transform(g, old.hist.snapshot())
+	g := old.router.Graph()
+	g2, hist, err := transform(g, old.router.hist.snapshot())
 	if err != nil {
 		return err
 	}
@@ -412,16 +382,14 @@ func (e *Engine) replaceLocked(old *engineState, agent *Agent, transform func(*G
 	}
 	drainStart := time.Now()
 	e.met.rebuildSeconds.Observe(drainStart.Sub(rebuildStart).Seconds())
-	for _, r := range old.routers {
-		r.Close()
-	}
+	old.router.Close()
 	e.met.drainSeconds.Observe(time.Since(drainStart).Seconds())
 	// Re-transform the now-final history (in-flight batches may have pushed
 	// matrices after the provisional snapshot). A transform that just
 	// succeeded on the same graph cannot fail on a longer history; if it
 	// somehow does, the provisional history stands.
-	if _, final, err := transform(g, old.hist.snapshot()); err == nil {
-		st.hist.set(final)
+	if _, final, err := transform(g, old.router.hist.snapshot()); err == nil {
+		st.router.hist.set(final)
 	}
 	e.state.Store(st)
 	close(old.next)
@@ -436,7 +404,7 @@ func (e *Engine) Graph() *Graph {
 	if st == nil {
 		return nil
 	}
-	return st.routers[0].Graph().Clone()
+	return st.router.Graph().Clone()
 }
 
 // Version returns the current topology version: 1 at construction,
@@ -464,7 +432,7 @@ func (e *Engine) Stats() EngineStats {
 		stats.TopologyVersion = st.version
 		stats.Nodes = st.nodes
 		stats.Edges = st.edges
-		stats.Replicas = len(st.routers)
+		stats.Replicas = e.cfg.replicas
 	}
 	return stats
 }
@@ -481,9 +449,7 @@ func (e *Engine) Close() {
 	st := e.state.Load()
 	e.state.Store(nil)
 	if st != nil {
-		for _, r := range st.routers {
-			r.Close()
-		}
+		st.router.Close()
 		close(st.next) // wake waiters; they observe the nil state
 	}
 }

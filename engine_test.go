@@ -7,8 +7,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"gddr/internal/routing"
 	"gddr/internal/traffic"
@@ -673,5 +675,107 @@ func TestEngineSwapInvalidatesServingCaches(t *testing.T) {
 	}
 	if got.MaxUtilization != want.MaxUtilization {
 		t.Fatalf("post-swap MLU %g != donor %g", got.MaxUtilization, want.MaxUtilization)
+	}
+}
+
+// TestEngineReplicasShareServingCache pins that replicas scale serve slots,
+// not caches: after a window change, a 4-replica engine pays the same
+// forward passes as a single Router — one per distinct observed window.
+func TestEngineReplicasShareServingCache(t *testing.T) {
+	g := Abilene()
+	engine := testEngine(t, WithReplicas(4))
+	ctx := context.Background()
+	for i := int64(0); i < 8; i++ {
+		if _, err := engine.Route(ctx, testDemand(g, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := engine.Stats().ForwardPasses
+	dm := testDemand(g, 100)
+	for i := 0; i < 8; i++ {
+		if _, err := engine.Route(ctx, dm); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Memory 2: the windows {d6,d7}→{d7,X}→{X,X} miss once each, then hit.
+	if got := engine.Stats().ForwardPasses - before; got != 3 {
+		t.Fatalf("steady phase ran %d forward passes, want 3", got)
+	}
+}
+
+// TestServingStartsNoGoroutines pins that serving runs on the callers'
+// goroutines: building, using, republishing and closing a replicated engine
+// leaves the goroutine count where it started.
+func TestServingStartsNoGoroutines(t *testing.T) {
+	g := Abilene()
+	u, v, capacity := removableLink(t, g)
+	agent := testRouterAgent(t)
+	base := runtime.NumGoroutine()
+	engine, err := NewEngine(agent, g, WithReplicas(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("NewEngine started %d goroutines", n-base)
+	}
+	ctx := context.Background()
+	for i := 0; i < 10; i++ {
+		if err := engine.Apply(ctx, CapacityChange{From: u, To: v, Capacity: capacity * float64(2+i%2)}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := engine.Route(ctx, testDemand(g, int64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	engine.Close()
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines outlived Close", n-base)
+	}
+}
+
+// TestEngineRouteAllocsMatchRouter pins that a cached replicated
+// Engine.Route allocates exactly what a cached bare Router.Route does:
+// n + 12 on an n-node topology (the per-sink split rows plus a fixed
+// envelope, decision and load set).
+func TestEngineRouteAllocsMatchRouter(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	agent := testRouterAgent(t)
+	ctx := context.Background()
+	for _, g := range []*Graph{Abilene(), Geant()} {
+		router, err := NewRouter(agent, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		engine, err := NewEngine(agent, g, WithReplicas(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dm := testDemand(g, 1)
+		for _, route := range []struct {
+			name string
+			fn   func(context.Context, *DemandMatrix) (*Decision, error)
+		}{{"Router", router.Route}, {"Engine", engine.Route}} {
+			for i := 0; i < 4; i++ { // fill the history so the window is cached
+				if _, err := route.fn(ctx, dm); err != nil {
+					t.Fatal(err)
+				}
+			}
+			allocs := testing.AllocsPerRun(100, func() {
+				if _, err := route.fn(ctx, dm); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if want := float64(g.NumNodes() + 12); allocs != want {
+				t.Errorf("%d-node %s.Route: %v allocs, want %v", g.NumNodes(), route.name, allocs, want)
+			}
+		}
+		router.Close()
+		engine.Close()
 	}
 }

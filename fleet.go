@@ -70,7 +70,7 @@ func WithFleetRouterOptions(opts ...RouterOption) FleetOption {
 // A Fleet is the multi-tenant serving control plane: one process hosting
 // many independent (topology, model, history) tenants behind a shared
 // gateway. Each tenant owns a full Engine — its own graph, demand history,
-// replica set, and metrics registry — while the fleet owns only the tenant
+// serving cache, and metrics registry — while the fleet owns only the tenant
 // registry, the admission accounting, and the tenant-labelled fleet
 // metrics (see DESIGN.md "Tenant isolation contract"). Lookups (Tenant,
 // List) are lock-free reads of an immutable tenant map republished on
@@ -187,7 +187,7 @@ func (f *Fleet) CreateWithAgent(id string, cfg TenantConfig, agent *Agent, g *Gr
 			"Admitted route latency through the tenant engine.", metrics.LatencyBuckets(), label),
 	}
 	f.registry.Gauge("gddr_fleet_replicas",
-		"Read replicas configured for the tenant (0 after delete).", label).Set(float64(cfg.Replicas))
+		"Serve-slot multiplier (Replicas) configured for the tenant (0 after delete).", label).Set(float64(cfg.Replicas))
 
 	next := make(map[string]*Tenant, len(cur)+1)
 	for k, v := range cur {
@@ -217,7 +217,7 @@ func (f *Fleet) Delete(id string) error {
 	}
 	f.tenants.Store(&next)
 	f.registry.Gauge("gddr_fleet_replicas",
-		"Read replicas configured for the tenant (0 after delete).", metrics.L("tenant", id)).Set(0)
+		"Serve-slot multiplier (Replicas) configured for the tenant (0 after delete).", metrics.L("tenant", id)).Set(0)
 	f.mu.Unlock()
 	// Close outside the lock: it drains in-flight routes, which must not
 	// block sibling create/delete.

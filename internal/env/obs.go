@@ -30,7 +30,7 @@ func Observe(g *graph.Graph, hist []*traffic.DemandMatrix) (*Observation, error)
 // The returned Observation (and everything it references) is only valid
 // until the next Observe call on the same Observer; callers that retain
 // observations — PPO rollouts do — must use the package-level Observe. An
-// Observer is not safe for concurrent use; pool one per serving worker.
+// Observer is not safe for concurrent use; pool one per concurrent caller.
 type Observer struct {
 	g    *graph.Graph // buffers below are sized for this topology
 	m    int

@@ -1,0 +1,5 @@
+//go:build !race
+
+package gddr
+
+const raceEnabled = false

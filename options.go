@@ -16,16 +16,10 @@ type routerConfig struct {
 	maxBatch    int
 	batchWindow time.Duration
 	history     []*DemandMatrix
-	// replicas is the number of read replicas an Engine snapshot clones
-	// from its serving state (default 1). Each replica is a full Router —
-	// its own batcher, worker pool, and fast-path caches — sharing the
-	// snapshot's demand history, so Route throughput scales across cores
-	// without contending on one batcher. Bare Routers ignore it.
+	// replicas multiplies an Engine snapshot's serve slots (default 1):
+	// the snapshot's one Router gets workers × replicas of them. Bare
+	// Routers ignore it.
 	replicas int
-	// hist shares a demand history across routers. Only the Engine sets it
-	// (one history per snapshot, shared by every replica); nil selects a
-	// private per-router history.
-	hist *demandHistory
 	// skipProbe elides the construction-time probe forward pass. Only the
 	// Engine sets it, when rebuilding a snapshot around a graph-size-
 	// agnostic (GNN-family) agent that an earlier snapshot already
@@ -33,8 +27,8 @@ type routerConfig struct {
 	// skipping it keeps high-rate topology events off the forward-pass
 	// budget.
 	skipProbe bool
-	// noCache disables the serving fast-path caches (policy-output and
-	// routing-strategy). Test/benchmark only: the uncached path is the
+	// noCache disables the serving fast-path cache (policy output and
+	// routing strategy). Test/benchmark only: the uncached path is the
 	// baseline the cache speedup gate and the golden decision test compare
 	// against.
 	noCache bool
@@ -51,9 +45,10 @@ type routerConfig struct {
 	noMetrics bool
 }
 
-// WithRouterWorkers sets the number of serving goroutines (default
-// GOMAXPROCS). One worker maximises request batching; more workers
-// maximise forward-pass parallelism.
+// WithRouterWorkers sets the number of serve slots (default GOMAXPROCS):
+// how many Route callers may serve a batch at once. No goroutine is
+// started — a slot holder serves on its own goroutine. One slot maximises
+// request batching; more slots maximise forward-pass parallelism.
 func WithRouterWorkers(n int) RouterOption {
 	return func(c *routerConfig) { c.workers = n }
 }
@@ -90,26 +85,23 @@ func WithTracing(on bool) RouterOption {
 	return func(c *routerConfig) { c.tracing = on }
 }
 
-// WithReplicas makes an Engine serve each snapshot through n read replicas
-// (default 1): independent routers — each with its own request batcher,
-// worker pool, and fast-path caches — cloned from the snapshot's state and
-// sharing its demand history, with Route calls spread across them
-// round-robin. Replicas remove the single-batcher rendezvous from the read
-// path, so steady-demand throughput scales across cores; they are
-// re-published atomically on every Apply or model swap, and decisions stay
-// bit-identical to a single-replica engine because the policy, topology,
-// and observed history are shared state. NewRouter ignores the option (a
-// bare Router is exactly one replica).
+// WithReplicas multiplies an Engine's serve slots by n (default 1): each
+// snapshot is one Router, with one demand history and one serving cache,
+// whose WithRouterWorkers slot count is scaled by n, so n× as many callers
+// may serve batches at once and steady-demand throughput scales across
+// cores. Decisions stay bit-identical to a single-replica engine.
+// Snapshot().Replicas reports n. NewRouter ignores the option.
 func WithReplicas(n int) RouterOption {
 	return func(c *routerConfig) { c.replicas = n }
 }
 
-// WithBatchWindow makes a serving worker that has picked up a request wait
-// up to d for more requests to share its forward pass (default 0: serve
-// immediately after draining already-queued requests). On busy cores the
-// zero-window fast path degenerates to singleton batches — waiting senders
-// never get scheduled between polls — so a microseconds-scale window buys
-// large batching gains at bounded latency cost.
+// WithBatchWindow makes a serve-slot holder that has taken queued requests
+// wait up to d for more to share its forward pass (default 0: serve
+// immediately after taking what is already queued). On busy cores the
+// zero-window path can degenerate to singleton batches — callers on their
+// way never get scheduled before the batch is taken — so a
+// microseconds-scale window buys large batching gains at bounded latency
+// cost.
 func WithBatchWindow(d time.Duration) RouterOption {
 	return func(c *routerConfig) { c.batchWindow = d }
 }
@@ -274,25 +266,6 @@ func WithPPO(cfg PPOConfig) Option {
 	return func(s *settings) {
 		s.cfg.PPO = cfg
 		s.cfgOnly = append(s.cfgOnly, "WithPPO")
-	}
-}
-
-// WithGamma sets the softmin spread γ used by the non-iterative policies.
-// Agent-construction only; RunExperiment rejects it.
-func WithGamma(gamma float64) Option {
-	return func(s *settings) {
-		s.cfg.Gamma = gamma
-		s.cfgOnly = append(s.cfgOnly, "WithGamma")
-	}
-}
-
-// WithCapacityAware toggles the capacity-aware warm start of the
-// action-to-weight mapping (see TrainConfig.CapacityAware).
-// Agent-construction only; RunExperiment rejects it.
-func WithCapacityAware(on bool) Option {
-	return func(s *settings) {
-		s.cfg.CapacityAware = on
-		s.cfgOnly = append(s.cfgOnly, "WithCapacityAware")
 	}
 }
 

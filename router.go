@@ -7,6 +7,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gddr/internal/env"
@@ -28,8 +29,8 @@ var ErrRouterClosed = ErrClosed
 
 // ErrInternal is the sentinel wrapped by the error every unanswered request
 // of a batch receives when serving that batch panicked. The panic is
-// contained to the batch: the router, its sibling replicas and every other
-// tenant in the process keep serving. Test with errors.Is.
+// contained to the batch: the router and every other tenant in the process
+// keep serving. Test with errors.Is.
 var ErrInternal = errors.New("gddr: internal serving error")
 
 // Decision is the routing decision for one demand matrix: the learned edge
@@ -61,7 +62,7 @@ type Decision struct {
 }
 
 // RouteTrace is the opt-in (WithTracing) per-request timing breakdown: how
-// long the request waited for a serving worker, what the batch it joined
+// long the request waited for a serve slot, what the batch it joined
 // spent in each serving stage, and which fast-path caches answered. The
 // observe/forward/strategy stages are shared by the whole batch (one
 // observation and forward pass serve every member); queue-wait and evaluate
@@ -71,7 +72,8 @@ type Decision struct {
 type RouteTrace struct {
 	// BatchSize is the number of requests served by this request's batch.
 	BatchSize int `json:"batch_size"`
-	// QueueWaitNS is the time from Route submission to batch pickup.
+	// QueueWaitNS is the time from Route submission until a combiner (the
+	// caller holding a serve slot) took the request into its batch.
 	QueueWaitNS int64 `json:"queue_wait_ns"`
 	// ObserveNS is the demand-history observation build (0 on a policy-cache
 	// hit).
@@ -124,8 +126,13 @@ type RouterStats struct {
 // motivation, and the single-graph fast path underneath Engine. It keeps a
 // sliding window of the most recent demand matrices (the policy's
 // observation history) and answers Route calls with fully-specified
-// routing decisions. Concurrent callers are batched so that requests
-// arriving while the policy is busy share a single forward pass.
+// routing decisions.
+//
+// Route serves by flat combining on the callers' own goroutines: a caller
+// queues its request, and whichever caller holds one of the router's serve
+// slots (WithRouterWorkers) takes every queued request, up to the batch
+// bound, and serves them together — so requests arriving while the policy
+// is busy share a single forward pass, and no goroutine is started.
 //
 // A Router never changes its graph: topology events are expressed by
 // building a fresh Router on the mutated graph and retiring the old one,
@@ -145,31 +152,32 @@ type Router struct {
 	noCache     bool
 	zero        *DemandMatrix // cold-start history pad (all-zero demand)
 
-	// hist is the sliding demand-history window. A standalone Router owns a
-	// private one; an Engine built with replicas shares a single history
-	// among every replica router of a snapshot, so each replica's decisions
-	// observe the full traffic stream rather than the fraction that happened
-	// to land on it.
+	// hist is the sliding demand-history window, the policy's observation
+	// state.
 	hist *demandHistory
 
-	reqCh     chan *routeRequest
+	// Flat combining. Route appends its request to pending and contends for
+	// a serve slot; the slot holder serves what is pending. arrived is a
+	// 1-buffered doorbell rung on every append, which a combiner holding a
+	// batch window open waits on. Close sets closed, closes quit and takes
+	// every slot for good.
+	mu        sync.Mutex
+	closed    bool            //gddr:guardedby mu
+	pending   []*routeRequest //gddr:guardedby mu
+	arrived   chan struct{}
+	slots     chan struct{}
 	quit      chan struct{}
 	closeOnce sync.Once
-	wg        sync.WaitGroup
 
-	// The serving fast-path caches. Both are keyed on values the policy's
-	// deterministic MeanAction makes stable under steady demand: the
-	// policy-output cache maps the observed history window to (weights,
-	// gamma), skipping observation + forward passes when the window is
-	// unchanged; the strategy cache maps (weights, gamma) to the per-sink
-	// splitting ratios, skipping the softmin routing translation. Both die
-	// with the Router, so Engine.Apply/SwapAgent/SwapCheckpoint — which
-	// retire the Router wholesale — invalidate them by construction.
-	cacheMu  sync.Mutex
-	lastOut  *policyOutput     //gddr:guardedby cacheMu
-	strategy *routing.Strategy //gddr:guardedby cacheMu
+	// cache is the serving fast path: the strategy built for the last
+	// observed window. An unchanged window reuses it whole (no observation,
+	// no forward pass, no build); fresh policy output that Matches it reuses
+	// the strategy. Entries are immutable and published only after a
+	// successful build; the cache dies with the Router, so
+	// Engine.Apply/SwapAgent/SwapCheckpoint invalidate it by construction.
+	cache atomic.Pointer[servingCache]
 
-	observers sync.Pool // *env.Observer, one in flight per serving worker
+	observers sync.Pool // *env.Observer, one in flight per combiner
 	scratch   sync.Pool // *routing.Scratch, one in flight per evaluation
 
 	// registry holds the serving instruments met points into. They are the
@@ -208,7 +216,7 @@ func newRouterMetrics(reg *metrics.Registry) *routerMetrics {
 		strategyMisses:  reg.Counter("gddr_router_strategy_cache_misses_total", "Batches that built a fresh routing strategy."),
 		panics:          reg.Counter("gddr_router_panics_total", "Batches whose serving panicked; their requests got ErrInternal."),
 		routeLatency:    reg.Histogram("gddr_router_route_latency_seconds", "End-to-end Route latency (queue wait included).", metrics.LatencyBuckets()),
-		queueWait:       reg.Histogram("gddr_router_queue_wait_seconds", "Time a request waited for a serving worker.", metrics.LatencyBuckets()),
+		queueWait:       reg.Histogram("gddr_router_queue_wait_seconds", "Time a request waited for a serve slot.", metrics.LatencyBuckets()),
 		batchSize:       reg.Histogram("gddr_router_batch_size", "Requests sharing one forward pass.", metrics.LinearBuckets(1, 1, 16)),
 	}
 }
@@ -225,25 +233,21 @@ func (m *routerMetrics) stats() RouterStats {
 	}
 }
 
-// policyOutput is one policy-output cache entry: the deterministic
-// MeanAction result for one observed history window. window holds the
-// matrices by pointer; entries are value-compared on lookup so a gateway
-// decoding identical steady demand into fresh allocations still hits,
-// with a pointer fast path that is sound because Route takes ownership of
-// submitted matrices (they are immutable once in the history).
-type policyOutput struct {
-	window  []*DemandMatrix
-	weights []float64
-	gamma   float64
+// servingCache is one immutable serving-cache entry: the routing strategy
+// (which carries its weights and gamma) the deterministic MeanAction
+// produced for one observed history window. window holds the matrices by
+// pointer; entries are value-compared on lookup so a gateway decoding
+// identical steady demand into fresh allocations still hits, with a pointer
+// fast path that is sound because Route takes ownership of submitted
+// matrices (they are immutable once in the history).
+type servingCache struct {
+	window   []*DemandMatrix
+	strategy *routing.Strategy
 }
 
 // demandHistory is the sliding window of the most recently routed demand
-// matrices (oldest first, len <= memory): the policy's observation state,
-// factored out of the Router so it can be shared. A standalone Router owns
-// a private history; an Engine snapshot with N read replicas hands every
-// replica the same instance, so the observation window any replica serves
-// from is the one a single-replica engine would have seen — replicas scale
-// the compute path (batcher, caches, workers), never fork the state.
+// matrices (oldest first, len <= memory): the policy's observation state.
+// Concurrent combiners serialise on its mutex.
 type demandHistory struct {
 	mu     sync.Mutex
 	memory int
@@ -261,8 +265,7 @@ func newDemandHistory(memory int) *demandHistory {
 
 // observeAndPush atomically snapshots the observation window (cold-start
 // slots padded with pad) and appends the batch's matrices, so concurrent
-// batches — including batches on sibling replicas — serialise into one
-// coherent history: each batch observes everything pushed before it and
+// batches serialise into one coherent history: each batch observes everything pushed before it and
 // nothing pushed after. The returned window is freshly allocated
 // (HistoryWindow copies the pointer slice) and safe to retain.
 func (h *demandHistory) observeAndPush(pad *DemandMatrix, batch []*routeRequest) []*DemandMatrix {
@@ -375,15 +378,13 @@ func newRouter(agent *Agent, g *Graph, cfg routerConfig) (*Router, error) {
 		noMetrics:   cfg.noMetrics,
 		registry:    cfg.metrics,
 		zero:        traffic.NewDemandMatrix(g.NumNodes()),
-		reqCh:       make(chan *routeRequest), // unbuffered: senders block, enabling batching
+		hist:        newDemandHistory(ecfg.Memory),
+		arrived:     make(chan struct{}, 1),
+		slots:       make(chan struct{}, cfg.workers),
 		quit:        make(chan struct{}),
 	}
 	r.observers.New = func() any { return new(env.Observer) }
 	r.scratch.New = func() any { return new(routing.Scratch) }
-	r.hist = cfg.hist
-	if r.hist == nil {
-		r.hist = newDemandHistory(ecfg.Memory)
-	}
 	if r.registry == nil {
 		r.registry = metrics.NewRegistry()
 	}
@@ -397,7 +398,7 @@ func newRouter(agent *Agent, g *Graph, cfg routerConfig) (*Router, error) {
 	// Probe: one inference on the current history window catches policies
 	// whose shape is bound to a different topology before serving starts. The
 	// stage functions neither count nor cache — only serve does — so the
-	// probe leaves the caches cold and the serving counters honest.
+	// probe leaves the cache cold and the serving counters honest.
 	if !cfg.skipProbe {
 		obs, err := env.Observe(g, r.hist.window(r.zero))
 		if err == nil {
@@ -406,10 +407,6 @@ func newRouter(agent *Agent, g *Graph, cfg routerConfig) (*Router, error) {
 		if err != nil {
 			return nil, fmt.Errorf("gddr: agent incompatible with topology: %w", err)
 		}
-	}
-	r.wg.Add(cfg.workers)
-	for w := 0; w < cfg.workers; w++ {
-		go r.worker()
 	}
 	return r, nil
 }
@@ -420,10 +417,11 @@ func newRouter(agent *Agent, g *Graph, cfg routerConfig) (*Router, error) {
 // ownership of dm passes to the router: the caller must not modify it
 // after Route returns (a mutated matrix would silently rewrite the demand
 // history past decisions were supposed to have observed, and defeat the
-// fast-path caches' change detection — submit a fresh or cloned matrix per
+// serving cache's change detection — submit a fresh or cloned matrix per
 // tick instead). Route is safe for concurrent use: requests that arrive
-// while the policy is busy are batched onto one shared forward pass.
-// Cancelling ctx abandons the request.
+// while the policy is busy are batched onto one shared forward pass, served
+// on the goroutine of whichever caller holds a serve slot. Cancelling ctx
+// abandons the request.
 //
 //gddr:hotpath
 func (r *Router) Route(ctx context.Context, dm *DemandMatrix) (*Decision, error) {
@@ -439,25 +437,42 @@ func (r *Router) Route(ctx context.Context, dm *DemandMatrix) (*Decision, error)
 		return nil, fmt.Errorf("gddr: demand matrix size %d != %d topology nodes", dm.N, r.g.NumNodes())
 	}
 	// One request envelope (struct + response channel) per call is the
-	// batching contract: the envelope crosses a channel to the serving
-	// goroutine, so it cannot live on this stack or in a pool keyed to it.
-	//gddr:allow hotpath per-request envelope crosses into the serving goroutine
+	// batching contract: the envelope is queued where any combiner may serve
+	// it, so it cannot live on this stack or in a pool keyed to it.
+	//gddr:allow hotpath per-request envelope is shared with the combiner that serves it
 	req := &routeRequest{ctx: ctx, dm: dm, resp: make(chan routeResponse, 1)}
 	if !r.noMetrics || r.tracing {
 		req.enqueued = time.Now()
 	}
-	select {
-	case r.reqCh <- req:
-	case <-r.quit:
+	r.mu.Lock()
+	if r.closed {
+		r.mu.Unlock()
 		return nil, ErrClosed
-	case <-ctx.Done():
-		return nil, ctx.Err()
 	}
+	//gddr:allow hotpath take compacts pending in place, so it grows only past its high-water mark
+	r.pending = append(r.pending, req)
+	r.mu.Unlock()
 	select {
-	case resp := <-req.resp:
-		return resp.d, resp.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
+	case r.arrived <- struct{}{}:
+	default:
+	}
+	// Every queued request's owner contends for a slot until answered, so no
+	// request is stranded. A combiner that found nothing queued knows its own
+	// request is in another combiner's batch and stops contending (a send on
+	// a nil channel never proceeds), only waiting for the reply.
+	slots := r.slots
+	for {
+		select {
+		case resp := <-req.resp:
+			return resp.d, resp.err
+		case slots <- struct{}{}:
+			if !r.combine() {
+				slots = nil
+			}
+			<-r.slots
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
 	}
 }
 
@@ -475,63 +490,68 @@ func (r *Router) Graph() *Graph { return r.g }
 // gddr-serve /metrics endpoint) or snapshot it with Snapshot/WriteJSON.
 func (r *Router) Metrics() *metrics.Registry { return r.registry }
 
-// Close stops the serving workers and waits for them to exit. Route calls
-// not yet accepted by a worker return ErrClosed; a request already being
-// served completes normally, so closing drains in-flight work. Close is
-// idempotent and safe to call concurrently with Route.
+// Close stops serving and drains: queued requests no combiner has taken
+// return ErrClosed, batches already taken complete normally, and Close
+// returns once none is in flight. Later Route calls return ErrClosed. Close
+// is idempotent and safe to call concurrently with Route.
 func (r *Router) Close() {
-	r.closeOnce.Do(func() { close(r.quit) })
-	r.wg.Wait()
-}
-
-func (r *Router) worker() {
-	defer r.wg.Done()
-	for {
-		select {
-		case <-r.quit:
-			return
-		case req := <-r.reqCh:
-			r.serve(r.gather(req))
+	r.closeOnce.Do(func() {
+		r.mu.Lock()
+		r.closed = true
+		queued := r.pending
+		r.pending = nil
+		r.mu.Unlock()
+		close(r.quit)
+		fail(queued, ErrClosed)
+		for i := 0; i < cap(r.slots); i++ {
+			r.slots <- struct{}{}
 		}
-	}
+	})
 }
 
-// gather drains requests already blocked on the channel, up to the batch
-// bound, so they share the forward pass of the request that woke us. The
-// yield gives concurrent callers that are runnable but not yet parked on
-// the channel a chance to enqueue — without it, a CPU-bound serving loop
-// on few cores degenerates to singleton batches because waiting senders
-// never get scheduled between polls. With a batch window configured, the
-// worker then keeps the batch open up to that long, blocking for senders
-// that are still on their way; Close cuts the wait short, and the batch
-// gathered so far is still served (Close drains in-flight work).
-func (r *Router) gather(first *routeRequest) []*routeRequest {
-	batch := []*routeRequest{first}
+// combine is the serve-slot holder's turn: it takes queued requests, up to
+// the batch bound, and serves them as one batch, reporting whether it took
+// any. The yield first lets concurrent callers that are runnable but have
+// not queued yet do so — without it, on few cores batches degenerate to
+// singletons. With a batch window configured, the combiner then keeps the
+// batch open up to that long, taking requests as they arrive; Close cuts
+// the wait short, and the batch taken so far is still served (Close drains
+// in-flight work).
+func (r *Router) combine() bool {
 	runtime.Gosched()
-	for len(batch) < r.maxBatch {
-		select {
-		case req := <-r.reqCh:
-			batch = append(batch, req)
-			continue
-		default:
+	batch := r.take(nil)
+	if len(batch) == 0 {
+		return false
+	}
+	if r.batchWindow > 0 && len(batch) < r.maxBatch {
+		timer := time.NewTimer(r.batchWindow)
+	window:
+		for len(batch) < r.maxBatch {
+			select {
+			case <-r.arrived:
+				batch = r.take(batch)
+			case <-timer.C:
+				break window
+			case <-r.quit:
+				break window
+			}
 		}
-		break
+		timer.Stop()
 	}
-	if r.batchWindow <= 0 || len(batch) >= r.maxBatch {
-		return batch
-	}
-	timer := time.NewTimer(r.batchWindow)
-	defer timer.Stop()
-	for len(batch) < r.maxBatch {
-		select {
-		case req := <-r.reqCh:
-			batch = append(batch, req)
-		case <-timer.C:
-			return batch
-		case <-r.quit:
-			return batch
-		}
-	}
+	r.serve(batch)
+	return true
+}
+
+// take moves queued requests onto batch, oldest first, up to the batch bound.
+func (r *Router) take(batch []*routeRequest) []*routeRequest {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := min(len(r.pending), r.maxBatch-len(batch))
+	//gddr:allow hotpath one batch slice per combine, shared by every request it serves
+	batch = append(batch, r.pending[:n]...)
+	rest := copy(r.pending, r.pending[n:])
+	clear(r.pending[rest:])
+	r.pending = r.pending[:rest]
 	return batch
 }
 
@@ -596,10 +616,14 @@ func (r *Router) serve(batch []*routeRequest) {
 	// only on a miss (≥100µs of forward pass), so their clock reads are
 	// unconditional. The observation lives in a pooled Observer's buffers:
 	// infer copies what it keeps, so the buffers are free again after it.
+	// An unchanged window is also a strategy hit: entries are published only
+	// with a built strategy.
 	var st batchStages
-	weights, gamma, hit := r.cachedOutput(hist)
-	st.policyCacheHit = hit
-	if hit {
+	var strat *routing.Strategy
+	cached := r.cache.Load()
+	if cached != nil && windowsEqual(cached.window, hist) {
+		strat = cached.strategy
+		st.policyCacheHit, st.strategyCacheHit = true, true
 		r.met.policyCacheHits.Inc()
 	} else {
 		ob := r.observers.Get().(*env.Observer)
@@ -608,6 +632,8 @@ func (r *Router) serve(batch []*routeRequest) {
 		obs, err := ob.Observe(r.g, hist)
 		observed := time.Now()
 		passes := 0
+		var weights []float64
+		var gamma float64
 		if err == nil {
 			//gddr:allow hotpath forward pass runs only when the observed window changed
 			weights, gamma, passes, err = r.infer(obs)
@@ -620,39 +646,34 @@ func (r *Router) serve(batch []*routeRequest) {
 			fail(live, err)
 			return
 		}
+
+		// Strategy-cache lookup, else build. The splitting ratios depend only
+		// on (weights, gamma, sink), so they are shared across the batch — and,
+		// via the cache, across every batch for which the policy keeps
+		// emitting these weights. With caching off each batch builds its own
+		// strategy, which still shares ratios within the batch.
+		if cached != nil && cached.strategy.Matches(weights, gamma) {
+			strat = cached.strategy
+			st.strategyCacheHit = true
+		} else {
+			start := time.Now()
+			//gddr:allow hotpath strategy rebuilds only when the policy emits new weights; steady state hits the cache
+			strat, err = routing.NewStrategy(r.g, weights, gamma)
+			st.strategyNS = time.Since(start).Nanoseconds()
+			if err != nil {
+				fail(live, err)
+				return
+			}
+		}
 		if !r.noCache {
-			r.cacheMu.Lock()
 			//gddr:allow hotpath cache refill happens once per window change, paired with the forward pass above
-			r.lastOut = &policyOutput{window: hist, weights: weights, gamma: gamma}
-			r.cacheMu.Unlock()
+			r.cache.Store(&servingCache{window: hist, strategy: strat})
 		}
 	}
-
-	// Strategy-cache lookup, else build. The splitting ratios depend only on
-	// (weights, gamma, sink), so they are shared across the batch — and, via
-	// the cache, across every batch for which the policy keeps emitting
-	// these weights. With caching off each batch builds its own strategy,
-	// which still shares ratios within the batch.
-	strat := r.cachedStrategy(weights, gamma)
-	st.strategyCacheHit = strat != nil
-	if strat != nil {
+	if st.strategyCacheHit {
 		r.met.strategyHits.Inc()
 	} else {
-		start := time.Now()
-		var err error
-		//gddr:allow hotpath strategy rebuilds only when the policy emits new weights; steady state hits the cache
-		strat, err = routing.NewStrategy(r.g, weights, gamma)
-		st.strategyNS = time.Since(start).Nanoseconds()
-		if err != nil {
-			fail(live, err)
-			return
-		}
 		r.met.strategyMisses.Inc()
-		if !r.noCache {
-			r.cacheMu.Lock()
-			r.strategy = strat
-			r.cacheMu.Unlock()
-		}
 	}
 
 	// Evaluate: each request pays only for propagating its own demand
@@ -693,7 +714,8 @@ func fail(batch []*routeRequest, err error) {
 // contain is serve's deferred panic barrier, the router's share of the
 // tenant isolation contract: a panic while serving one batch fails that
 // batch's unanswered requests with an error wrapping ErrInternal and returns
-// the worker to its loop, instead of killing every tenant in the process.
+// the combiner to its own wait, instead of killing every tenant in the
+// process.
 // Each response channel buffers one reply, so the non-blocking send always
 // reaches a request not answered yet, and on an answered one it is either
 // skipped (reply still buffered) or dropped with the channel (reply taken).
@@ -713,25 +735,6 @@ func (r *Router) contain(live []*routeRequest) {
 	}
 }
 
-// cachedOutput is the policy-output cache lookup: if the observed history
-// window is unchanged since the last batch (pointer-equal or, for identical
-// matrices decoded afresh, value-equal), the deterministic MeanAction would
-// recompute the same action, so the cached (weights, gamma) stands in for
-// the observation build and every forward pass. The returned slice is
-// shared with the cache and must be treated as read-only — every consumer
-// copies before handing it to callers.
-func (r *Router) cachedOutput(hist []*DemandMatrix) ([]float64, float64, bool) {
-	if r.noCache {
-		return nil, 0, false
-	}
-	r.cacheMu.Lock()
-	defer r.cacheMu.Unlock()
-	if c := r.lastOut; c != nil && windowsEqual(c.window, hist) {
-		return c.weights, c.gamma, true
-	}
-	return nil, 0, false
-}
-
 // windowsEqual reports whether two history windows hold the same demand,
 // with a pointer fast path per slot (steady demand re-pushes the same
 // matrices) before falling back to entry comparison.
@@ -745,20 +748,6 @@ func windowsEqual(a, b []*DemandMatrix) bool {
 		}
 	}
 	return true
-}
-
-// cachedStrategy is the strategy-cache lookup: the cached routing strategy
-// if it was built for exactly (weights, gamma), else nil.
-func (r *Router) cachedStrategy(weights []float64, gamma float64) *routing.Strategy {
-	if r.noCache {
-		return nil
-	}
-	r.cacheMu.Lock()
-	defer r.cacheMu.Unlock()
-	if s := r.strategy; s != nil && s.Matches(weights, gamma) {
-		return s
-	}
-	return nil
 }
 
 // infer runs the policy on an observation and returns the edge weights,

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -609,5 +610,48 @@ func TestRouterBatchWindow(t *testing.T) {
 	}
 	if _, err := router.Route(context.Background(), testDemand(g, 1)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("got %v, want ErrClosed", err)
+	}
+}
+
+// TestRouterBatchesWithoutWindow pins flat combining's batching with no
+// batch window: with one serve slot, callers that queue while the slot
+// holder yields share its batch. One P is the case the combiner's yield
+// exists for — without it every batch is a singleton there.
+func TestRouterBatchesWithoutWindow(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	g := Abilene()
+	router, err := NewRouter(testRouterAgent(t), g, WithRouterWorkers(1), WithMaxBatch(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Close()
+
+	const callers = 8
+	const perCaller = 8
+	var wg sync.WaitGroup
+	errCh := make(chan error, callers)
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < perCaller; i++ {
+				if _, err := router.Route(context.Background(), testDemand(g, int64(c*10+i))); err != nil {
+					errCh <- err
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(errCh)
+	for err := range errCh {
+		t.Fatal(err)
+	}
+	stats := router.Stats()
+	if stats.Requests != callers*perCaller {
+		t.Fatalf("served %d requests, want %d", stats.Requests, callers*perCaller)
+	}
+	if mean := float64(stats.Requests) / float64(stats.Batches); mean < 2 {
+		t.Fatalf("mean batch %.2f < 2: %d batches for %d requests", mean, stats.Batches, stats.Requests)
 	}
 }

@@ -36,10 +36,11 @@ type TenantConfig struct {
 	// (defaults 16 and 2).
 	GNNHidden int `json:"gnn_hidden,omitempty"`
 	GNNSteps  int `json:"gnn_steps,omitempty"`
-	// Replicas is the number of read replicas serving this tenant's
-	// snapshot (default 1; see WithReplicas).
+	// Replicas multiplies the tenant snapshot's serve slots (default 1; see
+	// WithReplicas).
 	Replicas int `json:"replicas,omitempty"`
-	// Workers is the per-replica serving goroutine count (0: GOMAXPROCS).
+	// Workers is the serve-slot count per replica (0: GOMAXPROCS; see
+	// WithRouterWorkers).
 	Workers int `json:"workers,omitempty"`
 	// MaxBatch bounds how many requests share one forward pass (default 16).
 	MaxBatch int `json:"max_batch,omitempty"`

@@ -22,7 +22,8 @@
 // keep serving. Logging is structured (log/slog); -log-format selects text
 // or JSON lines. -pprof additionally mounts net/http/pprof under
 // /debug/pprof/ and -trace attaches a per-request timing breakdown to
-// every routing decision.
+// every routing decision. Every decision also carries a Server-Timing
+// header with the gateway's own read, decode, route and encode stages.
 //
 // Example session:
 //
@@ -46,6 +47,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"strconv"
 	"strings"
 	"time"
 
@@ -416,64 +418,99 @@ func (w *jsonErrorWriter) flush() {
 	}
 }
 
-type routeRequest struct {
-	// Demands is the N×N demand matrix, row-major: Demands[s][t] is the
-	// traffic from node s to node t.
-	Demands [][]float64 `json:"demands"`
-}
-
 // maxBody bounds every request body so an oversized payload cannot grow
 // the gateway's heap without bound.
 const maxBody = 16 << 20
 
+// The stages of a /route request, in order: reading the body, decoding it
+// into a demand matrix, routing it, encoding the response and writing it.
+const (
+	stageRead = iota
+	stageDecode
+	stageRoute
+	stageEncode
+	stageWrite
+	numStages
+)
+
+var stageNames = [numStages]string{"read", "decode", "route", "encode", "write"}
+
+// stageClock times the consecutive stages of one /route request into the
+// gddr_http_route_stage_seconds histograms.
+type stageClock struct {
+	hist *[numStages]*metrics.Histogram
+	last time.Time
+	dur  [numStages]time.Duration
+}
+
+// lap ends stage: it records the time since the previous lap.
+func (c *stageClock) lap(stage int) {
+	now := time.Now()
+	c.dur[stage] = now.Sub(c.last)
+	c.last = now
+	c.hist[stage].Observe(c.dur[stage].Seconds())
+}
+
+// serverTiming renders the read, decode, route and encode stages as a
+// Server-Timing header value, in milliseconds.
+func (c *stageClock) serverTiming() string {
+	var buf [128]byte
+	b := buf[:0]
+	for stage := stageRead; stage <= stageEncode; stage++ {
+		if stage > stageRead {
+			b = append(b, ", "...)
+		}
+		b = append(append(b, stageNames[stage]...), ";dur="...)
+		b = strconv.AppendFloat(b, float64(c.dur[stage])/float64(time.Millisecond), 'f', 3, 64)
+	}
+	return string(b)
+}
+
 func handleRoute(fleet *gddr.Fleet, alias string) http.HandlerFunc {
+	var hist [numStages]*metrics.Histogram
+	for stage, name := range stageNames {
+		hist[stage] = fleet.Metrics().Histogram("gddr_http_route_stage_seconds",
+			"Gateway /route request latency by stage.", metrics.LatencyBuckets(), metrics.L("stage", name))
+	}
+	enc := new(responseEncoder)
 	return func(w http.ResponseWriter, r *http.Request) {
 		tenant, err := tenantFor(fleet, r, alias)
 		if err != nil {
 			writeError(w, statusFor(err, http.StatusNotFound), err)
 			return
 		}
-		var req routeRequest
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(&req); err != nil {
-			writeError(w, statusFor(err, http.StatusBadRequest), fmt.Errorf("invalid route request: %w", err))
-			return
-		}
-		dm, err := demandMatrix(req.Demands)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		start := time.Now()
-		d, err := tenant.Route(r.Context(), dm)
+		buf := routeBufferPool.Get().(*routeBuffers)
+		defer putRouteBuffers(buf)
+		clock := stageClock{hist: &hist, last: time.Now()}
+		buf.body.Reset()
+		_, readErr := buf.body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBody))
+		clock.lap(stageRead)
+		dm, err := decodeRoute(buf, readErr)
+		clock.lap(stageDecode)
 		if err != nil {
 			writeError(w, statusFor(err, http.StatusBadRequest), err)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"tenant":           tenant.ID(),
-			"decision":         d,
-			"topology_version": tenant.Version(),
-			"elapsed_us":       time.Since(start).Microseconds(),
-		})
-	}
-}
-
-func demandMatrix(rows [][]float64) (*gddr.DemandMatrix, error) {
-	n := len(rows)
-	if n == 0 {
-		return nil, fmt.Errorf("route request needs a demands matrix")
-	}
-	dm := &gddr.DemandMatrix{N: n, Data: make([]float64, 0, n*n)}
-	for s, row := range rows {
-		if len(row) != n {
-			return nil, fmt.Errorf("demands row %d has %d entries, want %d", s, len(row), n)
+		d, err := tenant.Route(r.Context(), dm)
+		clock.lap(stageRoute)
+		if err != nil {
+			writeError(w, statusFor(err, http.StatusBadRequest), err)
+			return
 		}
-		dm.Data = append(dm.Data, row...)
+		buf.out, err = enc.appendResponse(buf.out[:0], tenant.ID(), d, tenant.Version(), clock.dur[stageRoute].Microseconds())
+		clock.lap(stageEncode)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, err)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Server-Timing", clock.serverTiming())
+		w.WriteHeader(http.StatusOK)
+		if _, err := w.Write(buf.out); err != nil {
+			slog.Error("writing response", "err", err)
+		}
+		clock.lap(stageWrite)
 	}
-	if err := dm.Validate(); err != nil {
-		return nil, err
-	}
-	return dm, nil
 }
 
 func handleEvent(fleet *gddr.Fleet, alias string) http.HandlerFunc {

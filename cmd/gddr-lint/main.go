@@ -18,8 +18,6 @@
 //	lockguard    //gddr:guardedby fields are only touched with their mutex held
 //	atomicpub    atomic.Pointer fields follow the copy-on-write publication
 //	             contract: Store under the writer mutex, no writes through Load
-//	hotpath      //gddr:hotpath functions stay free of allocating constructs,
-//	             transitively through module-local callees
 //
 // A finding is suppressed only by an explicit in-place directive:
 //

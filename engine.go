@@ -216,8 +216,6 @@ func (e *Engine) Metrics() *metrics.Registry { return e.registry }
 // it returns ErrClosed; a demand matrix sized for a stale topology returns a
 // size-mismatch error. As with Router.Route, dm
 // joins the demand history and must not be modified after the call.
-//
-//gddr:hotpath
 func (e *Engine) Route(ctx context.Context, dm *DemandMatrix) (*Decision, error) {
 	if ctx == nil {
 		ctx = context.Background()

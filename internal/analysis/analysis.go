@@ -21,8 +21,6 @@
 //   - atomicpub: annotated atomic.Pointer fields follow the copy-on-write
 //     publication contract — stores only under the designated writer mutex,
 //     no writes through a Load() result.
-//   - hotpath: functions marked //gddr:hotpath stay allocation-free,
-//     transitively through module-local callees.
 //
 // A finding is suppressible only with an explicit directive on (or on the
 // line above) the offending line:
@@ -52,7 +50,7 @@ type Analyzer struct {
 
 // All returns the full suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{Determinism, MetricNames, CtxFlow, JSONErrors, LockGuard, AtomicPub, HotPath}
+	return []*Analyzer{Determinism, MetricNames, CtxFlow, JSONErrors, LockGuard, AtomicPub}
 }
 
 // ByName resolves a comma-separated list of analyzer names.
@@ -69,7 +67,7 @@ func ByName(list string) ([]*Analyzer, error) {
 		name = strings.TrimSpace(name)
 		a, ok := byName[name]
 		if !ok {
-			return nil, fmt.Errorf("unknown check %q (have determinism, metricnames, ctxflow, jsonerrors, lockguard, atomicpub, hotpath)", name)
+			return nil, fmt.Errorf("unknown check %q (have determinism, metricnames, ctxflow, jsonerrors, lockguard, atomicpub)", name)
 		}
 		out = append(out, a)
 	}
@@ -146,28 +144,12 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s [%s]", f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Msg, f.Check)
 }
 
-// A Pass carries one analyzer's run over one package. All holds every unit
-// of the run (in load order) so cross-package analyses — hotpath's
-// transitive callee walk — can resolve declarations outside Pkg; directives
-// is the merged module-wide //gddr:allow index, so a suppression in a
-// callee's file is visible from any caller's pass.
+// A Pass carries one analyzer's run over one package.
 type Pass struct {
-	Analyzer   *Analyzer
-	Pkg        *Package
-	All        []*Package
-	Cfg        *Config
-	directives map[string]map[int][]directive
-	report     func(Finding)
-}
-
-// allowedAt reports whether a finding of this pass's check at pos would be
-// suppressed by an in-place //gddr:allow directive. Cross-package analyses
-// use it to stop propagating sanctioned sites from other files.
-func (p *Pass) allowedAt(fset *token.FileSet, pos token.Pos) bool {
-	return suppressed(p.directives, Finding{
-		Check: p.Analyzer.Name,
-		Pos:   fset.Position(pos),
-	})
+	Analyzer *Analyzer
+	Pkg      *Package
+	Cfg      *Config
+	report   func(Finding)
 }
 
 // Reportf records a finding at pos.
@@ -323,38 +305,28 @@ func suppressed(index map[string]map[int][]directive, f Finding) bool {
 
 // Run executes the analyzers over the packages, applies //gddr:allow
 // suppression, and returns the surviving findings in file/line order.
-// Directives are scanned once per package and merged into one module-wide
-// index (file paths are unique across units), so a suppression is honoured
-// no matter which pass's analysis reaches the annotated line.
+// Every analyzer reports inside the package it runs on, so each package's
+// own directive index decides its suppressions.
 func Run(pkgs []*Package, cfg *Config, analyzers []*Analyzer) []Finding {
 	known := map[string]bool{}
 	for _, a := range All() {
 		known[a.Name] = true
 	}
-	merged := make(map[string]map[int][]directive)
 	var findings []Finding
 	for _, pkg := range pkgs {
 		index, directiveFindings := scanDirectives(pkg, known)
 		findings = append(findings, directiveFindings...)
-		for file, lines := range index {
-			merged[file] = lines
-		}
-	}
-	for _, pkg := range pkgs {
 		for _, a := range analyzers {
-			pass := &Pass{
-				Analyzer:   a,
-				Pkg:        pkg,
-				All:        pkgs,
-				Cfg:        cfg,
-				directives: merged,
+			a.Run(&Pass{
+				Analyzer: a,
+				Pkg:      pkg,
+				Cfg:      cfg,
 				report: func(f Finding) {
-					if !suppressed(merged, f) {
+					if !suppressed(index, f) {
 						findings = append(findings, f)
 					}
 				},
-			}
-			a.Run(pass)
+			})
 		}
 	}
 	sort.Slice(findings, func(i, j int) bool {
@@ -370,19 +342,5 @@ func Run(pkgs []*Package, cfg *Config, analyzers []*Analyzer) []Finding {
 		}
 		return a.Msg < b.Msg
 	})
-	return dedup(findings)
-}
-
-// dedup drops exact repeats (same check, position, and message), which
-// cross-package analyses can produce when two passes walk the same
-// declaration.
-func dedup(findings []Finding) []Finding {
-	out := findings[:0]
-	for i, f := range findings {
-		if i > 0 && f == findings[i-1] {
-			continue
-		}
-		out = append(out, f)
-	}
-	return out
+	return findings
 }

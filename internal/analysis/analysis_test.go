@@ -111,7 +111,7 @@ func fixtureConfig() *Config {
 
 var fixturePackages = []string{
 	"atomicpub", "ctxflow", "detfiles", "determinism",
-	"hotpath", "jsonerrors", "lockguard", "metricnames",
+	"jsonerrors", "lockguard", "metricnames",
 }
 
 var fixturesOnce struct {

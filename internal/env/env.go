@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"gddr/internal/graph"
@@ -141,9 +140,6 @@ type OptimalCache struct {
 	basis map[cacheKey]*lp.Basis   //gddr:guardedby mu
 	chain map[chainKey]*sync.Mutex //gddr:guardedby mu
 
-	hits   atomic.Int64
-	misses atomic.Int64
-
 	// Registry instruments, nil until Instrument is called. Readers copy
 	// them into locals under mu and use the copies after unlocking.
 	metHits   *metrics.Counter   //gddr:guardedby mu
@@ -175,18 +171,6 @@ func NewOptimalCache() *OptimalCache {
 		basis: make(map[cacheKey]*lp.Basis),
 		chain: make(map[chainKey]*sync.Mutex),
 	}
-}
-
-// CacheStats is a point-in-time summary of an OptimalCache.
-type CacheStats struct {
-	Hits   int64 `json:"hits"`
-	Misses int64 `json:"misses"`
-	Size   int   `json:"size"`
-}
-
-// Stats returns the cache's cumulative hit/miss counters and current size.
-func (c *OptimalCache) Stats() CacheStats {
-	return CacheStats{Hits: c.hits.Load(), Misses: c.misses.Load(), Size: c.Len()}
 }
 
 // Instrument registers the cache's telemetry on reg: cumulative hit/miss
@@ -225,16 +209,6 @@ func (c *OptimalCache) GetContext(ctx context.Context, g *graph.Graph, dm *traff
 	return c.get(ctx, g, dm, MaxUtilization)
 }
 
-// GetMean returns the optimal mean utilisation for dm on g.
-func (c *OptimalCache) GetMean(g *graph.Graph, dm *traffic.DemandMatrix) (float64, error) {
-	return c.get(context.Background(), g, dm, MeanUtilization)
-}
-
-// GetMeanContext is GetMean with cancellation checked before a miss-solve.
-func (c *OptimalCache) GetMeanContext(ctx context.Context, g *graph.Graph, dm *traffic.DemandMatrix) (float64, error) {
-	return c.get(ctx, g, dm, MeanUtilization)
-}
-
 func (c *OptimalCache) get(ctx context.Context, g *graph.Graph, dm *traffic.DemandMatrix, obj Objective) (float64, error) {
 	key := cacheKey{g: g, dm: dm, obj: obj}
 	c.mu.Lock()
@@ -242,13 +216,11 @@ func (c *OptimalCache) get(ctx context.Context, g *graph.Graph, dm *traffic.Dema
 	metHits, metMisses := c.metHits, c.metMisses
 	c.mu.Unlock()
 	if ok {
-		c.hits.Add(1)
 		if metHits != nil {
 			metHits.Inc()
 		}
 		return v, nil
 	}
-	c.misses.Add(1)
 	if metMisses != nil {
 		metMisses.Inc()
 	}
@@ -332,7 +304,6 @@ func (c *OptimalCache) getSeq(ctx context.Context, g *graph.Graph, seq []*traffi
 	metHits := c.metHits
 	c.mu.Unlock()
 	if ok {
-		c.hits.Add(1)
 		if metHits != nil {
 			metHits.Inc()
 		}
@@ -395,11 +366,8 @@ func (c *OptimalCache) chainTo(ctx context.Context, g *graph.Graph, seq []*traff
 		}
 		c.basis[key] = nb
 		c.mu.Unlock()
-		if !haveVal {
-			c.misses.Add(1)
-			if metMisses != nil {
-				metMisses.Inc()
-			}
+		if !haveVal && metMisses != nil {
+			metMisses.Inc()
 		}
 		warm = nb
 		if onSolve != nil {

@@ -149,7 +149,6 @@ func HistoryWindow(hist []*traffic.DemandMatrix, memory int, fallback *traffic.D
 	// The window must be a stable snapshot (hist keeps mutating once the
 	// caller's lock is released), so one small allocation per batch — not
 	// per request — is the contract here.
-	//gddr:allow hotpath per-batch window snapshot; hist mutates after the caller unlocks
 	out := make([]*traffic.DemandMatrix, memory)
 	pad := memory - len(hist)
 	for i := 0; i < pad; i++ {

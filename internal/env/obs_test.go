@@ -52,6 +52,24 @@ func TestObserverReuseMatchesObserve(t *testing.T) {
 		}
 		got.SetIterativeState(pending, make([]bool, g.NumEdges()), 2)
 	}
+	// Buffer reuse is the point of an Observer: once warmed on Géant, the
+	// benchmark's serving graph, it allocates nothing per observation.
+	if !raceEnabled {
+		gg := topo.Geant()
+		ghist := testSequence(t, gg.NumNodes(), 3, 3, 78)
+		gob := new(Observer)
+		if _, err := gob.Observe(gg, ghist); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := gob.Observe(gg, ghist); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("warmed Observer.Observe on Geant allocated %.1f times per call, want 0", allocs)
+		}
+	}
 }
 
 // TestObserverResizesAcrossTopologies: switching graphs mid-stream must

@@ -32,8 +32,6 @@ const (
 
 // MatMulInto computes a×b into dst, overwriting it. dst must be
 // a.Rows×b.Cols and must not alias a or b. It returns dst.
-//
-//gddr:hotpath
 func MatMulInto(dst, a, b *Matrix) *Matrix {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("mat: matmul shape mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -45,8 +43,6 @@ func MatMulInto(dst, a, b *Matrix) *Matrix {
 }
 
 // MatMulAccum adds a×b into dst. Shape rules match MatMulInto.
-//
-//gddr:hotpath
 func MatMulAccum(dst, a, b *Matrix) *Matrix {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("mat: matmul shape mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -58,8 +54,6 @@ func MatMulAccum(dst, a, b *Matrix) *Matrix {
 
 // MatMulTransAInto computes aᵀ×b into dst, overwriting it. dst must be
 // a.Cols×b.Cols and must not alias a or b. It returns dst.
-//
-//gddr:hotpath
 func MatMulTransAInto(dst, a, b *Matrix) *Matrix {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("mat: matmulTransA shape mismatch %dx%d ᵀ· %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -71,8 +65,6 @@ func MatMulTransAInto(dst, a, b *Matrix) *Matrix {
 }
 
 // MatMulTransAAccum adds aᵀ×b into dst. Shape rules match MatMulTransAInto.
-//
-//gddr:hotpath
 func MatMulTransAAccum(dst, a, b *Matrix) *Matrix {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("mat: matmulTransA shape mismatch %dx%d ᵀ· %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -84,8 +76,6 @@ func MatMulTransAAccum(dst, a, b *Matrix) *Matrix {
 
 // MatMulTransBInto computes a×bᵀ into dst, overwriting it. dst must be
 // a.Rows×b.Rows and must not alias a or b. It returns dst.
-//
-//gddr:hotpath
 func MatMulTransBInto(dst, a, b *Matrix) *Matrix {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("mat: matmulTransB shape mismatch %dx%d · %dx%d ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -97,8 +87,6 @@ func MatMulTransBInto(dst, a, b *Matrix) *Matrix {
 }
 
 // MatMulTransBAccum adds a×bᵀ into dst. Shape rules match MatMulTransBInto.
-//
-//gddr:hotpath
 func MatMulTransBAccum(dst, a, b *Matrix) *Matrix {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("mat: matmulTransB shape mismatch %dx%d · %dx%d ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -112,8 +100,6 @@ func MatMulTransBAccum(dst, a, b *Matrix) *Matrix {
 // for each k tile, each output row absorbs four rank-1 updates per pass, so
 // the row is loaded and stored once per four k steps instead of once per
 // step, and the active b tile stays cache-resident across all rows of a.
-//
-//gddr:hotpath
 func matMulAccum(dst, a, b *Matrix) {
 	m, kk, n := a.Rows, a.Cols, b.Cols
 	if m == 0 || kk == 0 || n == 0 {
@@ -165,8 +151,6 @@ func matMulAccum(dst, a, b *Matrix) {
 // dimension, so the kernel walks them four at a time and scatters grouped
 // rank-1 updates into dst rows; the four-wide grouping halves the traffic on
 // dst the same way matMulAccum's unroll does.
-//
-//gddr:hotpath
 func matMulTransAAccum(dst, a, b *Matrix) {
 	kk, m, n := a.Rows, a.Cols, b.Cols
 	if m == 0 || kk == 0 || n == 0 {
@@ -212,8 +196,6 @@ func matMulTransAAccum(dst, a, b *Matrix) {
 // product of contiguous rows, computed with four independent accumulators to
 // break the add-latency chain; the accumulators fold in a fixed
 // shape-determined order so results stay bit-identical across runs.
-//
-//gddr:hotpath
 func matMulTransBAccum(dst, a, b *Matrix) {
 	m, kk, n := a.Rows, a.Cols, b.Rows
 	if m == 0 || n == 0 {
@@ -242,8 +224,6 @@ func matMulTransBAccum(dst, a, b *Matrix) {
 }
 
 // AddInto computes a+b into dst, overwriting it. dst may alias a or b.
-//
-//gddr:hotpath
 func AddInto(dst, a, b *Matrix) *Matrix {
 	mustSameShape("add", a, b)
 	mustShape("add dst", dst, a.Rows, a.Cols)
@@ -254,8 +234,6 @@ func AddInto(dst, a, b *Matrix) *Matrix {
 }
 
 // SubInto computes a−b into dst, overwriting it. dst may alias a or b.
-//
-//gddr:hotpath
 func SubInto(dst, a, b *Matrix) *Matrix {
 	mustSameShape("sub", a, b)
 	mustShape("sub dst", dst, a.Rows, a.Cols)
@@ -266,8 +244,6 @@ func SubInto(dst, a, b *Matrix) *Matrix {
 }
 
 // MulInto computes a⊙b into dst, overwriting it. dst may alias a or b.
-//
-//gddr:hotpath
 func MulInto(dst, a, b *Matrix) *Matrix {
 	mustSameShape("mul", a, b)
 	mustShape("mul dst", dst, a.Rows, a.Cols)
@@ -278,8 +254,6 @@ func MulInto(dst, a, b *Matrix) *Matrix {
 }
 
 // ScaleInto computes s·a into dst, overwriting it. dst may alias a.
-//
-//gddr:hotpath
 func ScaleInto(dst, a *Matrix, s float64) *Matrix {
 	mustShape("scale dst", dst, a.Rows, a.Cols)
 	for i := range dst.Data {
@@ -290,8 +264,6 @@ func ScaleInto(dst, a *Matrix, s float64) *Matrix {
 
 // ApplyInto computes f applied elementwise to a into dst, overwriting it.
 // dst may alias a.
-//
-//gddr:hotpath
 func ApplyInto(dst, a *Matrix, f func(float64) float64) *Matrix {
 	mustShape("apply dst", dst, a.Rows, a.Cols)
 	for i, v := range a.Data {
@@ -301,8 +273,6 @@ func ApplyInto(dst, a *Matrix, f func(float64) float64) *Matrix {
 }
 
 // mustShape panics unless m is rows×cols.
-//
-//gddr:hotpath
 func mustShape(op string, m *Matrix, rows, cols int) {
 	if m.Rows != rows || m.Cols != cols {
 		panic(fmt.Sprintf("mat: %s shape mismatch: have %dx%d, want %dx%d", op, m.Rows, m.Cols, rows, cols))

@@ -233,8 +233,13 @@ func TestIntoVariantsDoNotAllocate(t *testing.T) {
 		MatMulTransAInto(dstA, at, b)
 		MatMulTransBInto(dst, a, bt)
 		MatMulAccum(dst, a, b)
+		MatMulTransAAccum(dstA, at, b)
+		MatMulTransBAccum(dst, a, bt)
 		AddInto(dst, dst, dst)
+		SubInto(dst, dst, dstA)
+		MulInto(dst, dst, dstA)
 		ScaleInto(dst, dst, 0.5)
+		ApplyInto(dst, dst, math.Abs)
 	})
 	if allocs != 0 {
 		t.Fatalf("Into kernels allocated %.1f times per run, want 0", allocs)

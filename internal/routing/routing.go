@@ -223,23 +223,18 @@ func (r *Ratios) Loads(g *graph.Graph, dm *traffic.DemandMatrix, loads []float64
 // with zero allocations. The accumulation contract of Loads applies: loads
 // is added into, not reset. Propagation processes vertices in decreasing
 // distance order, which is a topological order of the downhill DAG.
-//
-//gddr:hotpath
 func (r *Ratios) AccumulateLoads(g *graph.Graph, dm *traffic.DemandMatrix, loads, inflow []float64) error {
 	n := g.NumNodes()
 	if inflow == nil {
-		//gddr:allow hotpath nil-scratch convenience path; serving callers pass a pooled buffer
 		inflow = make([]float64, n)
 	}
 	total := 0.0
 	for s := 0; s < n; s++ {
 		d := dm.At(s, r.Sink)
 		if d < 0 {
-			//gddr:allow hotpath invalid-demand error path, not taken by well-formed requests
 			return fmt.Errorf("routing: negative demand at (%d,%d)", s, r.Sink)
 		}
 		if d > 0 && math.IsInf(r.Dist[s], 1) {
-			//gddr:allow hotpath unreachable-sink error path, not taken by well-formed requests
 			return fmt.Errorf("routing: node %d cannot reach sink %d but has demand", s, r.Sink)
 		}
 		inflow[s] = d
@@ -367,17 +362,13 @@ type Scratch struct {
 // those without demand skipped), overwrites loads and util (len NumEdges
 // each) with the per-edge traffic and load/capacity, and returns the maximum
 // utilisation.
-//
-//gddr:hotpath
 func (s *Strategy) Evaluate(dm *traffic.DemandMatrix, sc *Scratch, loads, util []float64) (float64, error) {
 	g := s.g
 	n := g.NumNodes()
 	if dm.N != n {
-		//gddr:allow hotpath size-mismatch error path
 		return 0, fmt.Errorf("routing: demand matrix size %d != graph nodes %d", dm.N, n)
 	}
 	if len(sc.InSums) != n {
-		//gddr:allow hotpath scratch is sized once per graph, then reused
 		sc.InSums, sc.inflow = make([]float64, n), make([]float64, n)
 	}
 	dm.InSums(sc.InSums)
@@ -387,7 +378,6 @@ func (s *Strategy) Evaluate(dm *traffic.DemandMatrix, sc *Scratch, loads, util [
 			continue
 		}
 		if err := s.sinks[sink].AccumulateLoads(g, dm, loads, sc.inflow); err != nil {
-			//gddr:allow hotpath invalid-demand error path
 			return 0, fmt.Errorf("routing: sink %d: %w", sink, err)
 		}
 	}

@@ -422,24 +422,19 @@ func newRouter(agent *Agent, g *Graph, cfg routerConfig) (*Router, error) {
 // while the policy is busy are batched onto one shared forward pass, served
 // on the goroutine of whichever caller holds a serve slot. Cancelling ctx
 // abandons the request.
-//
-//gddr:hotpath
 func (r *Router) Route(ctx context.Context, dm *DemandMatrix) (*Decision, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if dm == nil {
-		//gddr:allow hotpath nil-matrix validation error path
 		return nil, fmt.Errorf("gddr: route needs a demand matrix")
 	}
 	if dm.N != r.g.NumNodes() {
-		//gddr:allow hotpath size-mismatch validation error path
 		return nil, fmt.Errorf("gddr: demand matrix size %d != %d topology nodes", dm.N, r.g.NumNodes())
 	}
 	// One request envelope (struct + response channel) per call is the
 	// batching contract: the envelope is queued where any combiner may serve
 	// it, so it cannot live on this stack or in a pool keyed to it.
-	//gddr:allow hotpath per-request envelope is shared with the combiner that serves it
 	req := &routeRequest{ctx: ctx, dm: dm, resp: make(chan routeResponse, 1)}
 	if !r.noMetrics || r.tracing {
 		req.enqueued = time.Now()
@@ -449,7 +444,6 @@ func (r *Router) Route(ctx context.Context, dm *DemandMatrix) (*Decision, error)
 		r.mu.Unlock()
 		return nil, ErrClosed
 	}
-	//gddr:allow hotpath take compacts pending in place, so it grows only past its high-water mark
 	r.pending = append(r.pending, req)
 	r.mu.Unlock()
 	select {
@@ -547,7 +541,6 @@ func (r *Router) take(batch []*routeRequest) []*routeRequest {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	n := min(len(r.pending), r.maxBatch-len(batch))
-	//gddr:allow hotpath one batch slice per combine, shared by every request it serves
 	batch = append(batch, r.pending[:n]...)
 	rest := copy(r.pending, r.pending[n:])
 	clear(r.pending[rest:])
@@ -572,8 +565,6 @@ type batchStages struct {
 // per-request evaluate. It is the only function that counts or reads the
 // clock: the stage functions it calls take no metrics or trace argument, so
 // every serving counter has exactly one increment site, here.
-//
-//gddr:hotpath
 func (r *Router) serve(batch []*routeRequest) {
 	// Drop requests whose caller already gave up, compacting the survivors
 	// into the front of the batch slice in place.
@@ -628,14 +619,12 @@ func (r *Router) serve(batch []*routeRequest) {
 	} else {
 		ob := r.observers.Get().(*env.Observer)
 		start := time.Now()
-		//gddr:allow hotpath observation build runs only when the observed window changed
 		obs, err := ob.Observe(r.g, hist)
 		observed := time.Now()
 		passes := 0
 		var weights []float64
 		var gamma float64
 		if err == nil {
-			//gddr:allow hotpath forward pass runs only when the observed window changed
 			weights, gamma, passes, err = r.infer(obs)
 		}
 		st.observeNS = observed.Sub(start).Nanoseconds()
@@ -657,7 +646,6 @@ func (r *Router) serve(batch []*routeRequest) {
 			st.strategyCacheHit = true
 		} else {
 			start := time.Now()
-			//gddr:allow hotpath strategy rebuilds only when the policy emits new weights; steady state hits the cache
 			strat, err = routing.NewStrategy(r.g, weights, gamma)
 			st.strategyNS = time.Since(start).Nanoseconds()
 			if err != nil {
@@ -666,7 +654,6 @@ func (r *Router) serve(batch []*routeRequest) {
 			}
 		}
 		if !r.noCache {
-			//gddr:allow hotpath cache refill happens once per window change, paired with the forward pass above
 			r.cache.Store(&servingCache{window: hist, strategy: strat})
 		}
 	}
@@ -685,7 +672,6 @@ func (r *Router) serve(batch []*routeRequest) {
 		}
 		d, err := r.evaluate(req.dm, strat)
 		if d != nil && r.tracing {
-			//gddr:allow hotpath allocates only when request tracing is enabled
 			d.Trace = &RouteTrace{
 				BatchSize:        len(live),
 				QueueWaitNS:      picked.Sub(req.enqueued).Nanoseconds(),
@@ -725,7 +711,6 @@ func (r *Router) contain(live []*routeRequest) {
 		return
 	}
 	r.met.panics.Inc()
-	//gddr:allow hotpath panic containment path
 	err := fmt.Errorf("%w: panic serving a batch of %d: %v", ErrInternal, len(live), p)
 	for _, req := range live {
 		select {
@@ -812,29 +797,23 @@ func (r *Router) evaluate(dm *DemandMatrix, strat *routing.Strategy) (*Decision,
 	sc := r.scratch.Get().(*routing.Scratch)
 	defer r.scratch.Put(sc)
 	// One backing array for the two per-edge result slices.
-	//gddr:allow hotpath caller-owned Decision.Loads/Utilization backing; cannot come from the pool
 	buf := make([]float64, 2*ne)
 	loads, util := buf[:ne:ne], buf[ne:]
 	maxU, err := strat.Evaluate(dm, sc, loads, util)
 	if err != nil {
-		//gddr:allow hotpath error path
 		return nil, fmt.Errorf("gddr: route: %w", err)
 	}
 	// Sized for every node: served demand is dense, all n are sinks.
-	//gddr:allow hotpath caller-owned Decision.Splits map, one per decision
 	splits := make(map[int][]float64, len(sc.InSums))
 	for sink, in := range sc.InSums {
 		if in == 0 {
 			continue
 		}
 		rt, _ := strat.Ratios(sink) // never fails, see Strategy.Ratios
-		//gddr:allow hotpath caller-owned copy of the shared ratios; the strategy stays immutable
 		splits[sink] = append([]float64(nil), rt.Ratio...)
 	}
 	// The Decision and its Weights copy are the caller's to keep.
-	//gddr:allow hotpath caller-owned Decision envelope, one per request
 	return &Decision{
-		//gddr:allow hotpath caller-owned copy of the cached weights
 		Weights:        append([]float64(nil), strat.Weights()...),
 		Gamma:          strat.Gamma(),
 		Splits:         splits,

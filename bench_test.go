@@ -177,6 +177,63 @@ func BenchmarkRouterRouteSteady(b *testing.B) {
 	}
 }
 
+// BenchmarkRouterRouteIterative measures serving the paper's iterative
+// policy (§VII-B), which runs one forward pass per directed edge for every
+// decision it makes. Under steady demand, cache=off times a whole decision
+// and cache=on must answer every request after warm-up without a single
+// forward pass; passes/op reports which.
+func BenchmarkRouterRouteIterative(b *testing.B) {
+	for _, topology := range []string{"abilene", "geant"} {
+		b.Run("topo="+topology, func(b *testing.B) {
+			for _, cached := range []bool{true, false} {
+				name := "cache=off"
+				if cached {
+					name = "cache=on"
+				}
+				b.Run(name, func(b *testing.B) {
+					agent, err := NewAgent(GNNIterativePolicy, nil, WithMemory(3), WithGNNSize(16, 2))
+					if err != nil {
+						b.Fatal(err)
+					}
+					g, err := topo.Named(topology)
+					if err != nil {
+						b.Fatal(err)
+					}
+					cfg := resolveRouterConfig([]RouterOption{WithRouterWorkers(1)})
+					cfg.noCache = !cached
+					router, err := newRouter(agent, g, cfg)
+					if err != nil {
+						b.Fatal(err)
+					}
+					defer router.Close()
+					dm := traffic.Bimodal(g.NumNodes(), traffic.DefaultBimodal(), rand.New(rand.NewSource(24)))
+					ctx := context.Background()
+					// Fill the history window so the steady state is reached
+					// before timing starts.
+					for i := 0; i < 4; i++ {
+						if _, err := router.Route(ctx, dm); err != nil {
+							b.Fatal(err)
+						}
+					}
+					warm := router.Stats().ForwardPasses
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if _, err := router.Route(ctx, dm); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.StopTimer()
+					passes := router.Stats().ForwardPasses - warm
+					b.ReportMetric(float64(passes)/float64(b.N), "passes/op")
+					if cached && passes != 0 {
+						b.Fatalf("cached iterative serving ran %d forward passes after warm-up", passes)
+					}
+				})
+			}
+		})
+	}
+}
+
 // BenchmarkRouterRouteConcurrent measures 8-way concurrent serving
 // throughput with a deliberately small worker pool, so simultaneous
 // requests queue up and get batched onto shared forward passes.

@@ -8,7 +8,6 @@ package env
 import (
 	"context"
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
@@ -95,12 +94,14 @@ func DefaultConfig() Config {
 
 // Observation is one environment state. Node features are the normalised
 // outgoing/incoming demand sums per history step (§V-B); edge features are
-// the iterative-mode triple (value, set?, target?) of Eq. 6 (zeros in full
-// mode); Flat is the raw normalised m·N² history for the MLP baseline.
+// the link capacity normalised by the largest one (column 0) followed by the
+// iterative-mode triple (value, set?, target?) of Eq. 6 (columns 1-3, zeros
+// in full mode); Flat is the raw normalised m·N² history for the MLP
+// baseline.
 type Observation struct {
 	G          *graph.Graph
 	NodeFeat   *mat.Matrix // N x 2m
-	EdgeFeat   *mat.Matrix // E x 3
+	EdgeFeat   *mat.Matrix // E x 4
 	Global     *mat.Matrix // 1 x 1 (constant bias input)
 	Senders    []int
 	Receivers  []int
@@ -407,12 +408,8 @@ type Env struct {
 	base []float64       // per-edge base weights of the action mapping
 
 	// Episode state.
-	t int // index of the DM being routed next (starts at cfg.Memory)
-
-	// Iterative-mode state.
-	pendingWeights []float64 // action values per edge, in [-1,1]
-	pendingSet     []bool
-	iterEdge       int
+	t   int     // index of the DM being routed next (starts at cfg.Memory)
+	dec decoder // the decision in progress for seq[t]
 }
 
 var _ Interface = (*Env)(nil)
@@ -446,11 +443,7 @@ func New(g *graph.Graph, seq []*traffic.DemandMatrix, cfg Config, opt *OptimalCa
 	if opt == nil {
 		opt = NewOptimalCache()
 	}
-	base := g.UnitWeights()
-	if cfg.CapacityAware {
-		base = g.InverseCapacityWeights()
-	}
-	return &Env{g: g, seq: seq, cfg: cfg, opt: opt, ctx: context.Background(), base: base}, nil
+	return &Env{g: g, seq: seq, cfg: cfg, opt: opt, ctx: context.Background(), base: BaseWeights(g, cfg)}, nil
 }
 
 // Graph returns the environment's topology.
@@ -487,105 +480,35 @@ func (e *Env) EpisodeSteps() int {
 // Reset starts a new episode.
 func (e *Env) Reset() (*Observation, error) {
 	e.t = e.cfg.Memory
-	e.pendingWeights = make([]float64, e.g.NumEdges())
-	e.pendingSet = make([]bool, e.g.NumEdges())
-	e.iterEdge = 0
+	e.dec = newDecoder(e.g.NumEdges())
 	return e.observe()
 }
 
-// Step applies an action.
+// Step feeds one pass's action to the decision for seq[t] (see Decode). A
+// pass that completes the decision earns its reward and moves the episode
+// on to the next DM; an earlier iterative pass earns 0.
 func (e *Env) Step(action []float64) (*Observation, float64, bool, error) {
 	if e.t < e.cfg.Memory || e.t >= len(e.seq) {
 		return nil, 0, false, fmt.Errorf("env: step called outside an episode (t=%d)", e.t)
 	}
-	switch e.cfg.Mode {
-	case FullAction:
-		return e.stepFull(action)
-	case IterativeAction:
-		return e.stepIterative(action)
-	default:
-		return nil, 0, false, fmt.Errorf("env: invalid mode %d", int(e.cfg.Mode))
-	}
-}
-
-func (e *Env) stepFull(action []float64) (*Observation, float64, bool, error) {
-	if len(action) != e.g.NumEdges() {
-		return nil, 0, false, fmt.Errorf("env: action has %d values, want %d", len(action), e.g.NumEdges())
-	}
-	weights := make([]float64, len(action))
-	for i, a := range action {
-		weights[i] = e.weightFromAction(i, a)
-	}
-	reward, err := e.rewardFor(weights, e.cfg.Gamma)
+	weights, gamma, err := e.dec.step(e.base, e.cfg, action)
 	if err != nil {
 		return nil, 0, false, err
 	}
-	e.t++
-	if e.t >= len(e.seq) {
-		return nil, reward, true, nil
-	}
-	obs, err := e.observe()
-	return obs, reward, false, err
-}
-
-func (e *Env) stepIterative(action []float64) (*Observation, float64, bool, error) {
-	if len(action) != 2 {
-		return nil, 0, false, fmt.Errorf("env: iterative action has %d values, want 2", len(action))
-	}
-	v := clamp(action[0], -1, 1)
-	e.pendingWeights[e.iterEdge] = v
-	e.pendingSet[e.iterEdge] = true
-	e.iterEdge++
-	if e.iterEdge < e.g.NumEdges() {
+	if weights == nil {
 		obs, err := e.observe()
 		return obs, 0, false, err
-	}
-	// Final iteration for this DM: γ comes from the last action (Eq. 7).
-	gamma := gammaFromAction(action[1])
-	weights := make([]float64, e.g.NumEdges())
-	for i, a := range e.pendingWeights {
-		weights[i] = e.weightFromAction(i, a)
 	}
 	reward, err := e.rewardFor(weights, gamma)
 	if err != nil {
 		return nil, 0, false, err
 	}
 	e.t++
-	e.iterEdge = 0
-	for i := range e.pendingSet {
-		e.pendingWeights[i] = 0
-		e.pendingSet[i] = false
-	}
 	if e.t >= len(e.seq) {
 		return nil, reward, true, nil
 	}
 	obs, err := e.observe()
 	return obs, reward, false, err
-}
-
-// weightFromAction maps an action value to a strictly positive edge weight,
-// multiplicative around the per-edge base weight.
-func (e *Env) weightFromAction(edge int, a float64) float64 {
-	return WeightFromAction(e.base[edge], e.cfg.WeightScale, a)
-}
-
-// WeightFromAction maps one action value to a strictly positive edge
-// weight, multiplicative around the edge's base weight. It is the single
-// definition of the action-to-weight mapping, shared by the training
-// environment and the serving Router.
-func WeightFromAction(base, scale, a float64) float64 {
-	return base * math.Exp(scale*clamp(a, -1, 1))
-}
-
-// gammaFromAction maps the γ action channel to a positive softmin spread.
-func gammaFromAction(a float64) float64 {
-	return GammaFromAction(a)
-}
-
-// GammaFromAction maps the iterative policy's γ action channel (Eq. 7) to
-// a positive softmin spread, shared with the serving Router.
-func GammaFromAction(a float64) float64 {
-	return routing.DefaultGamma * math.Exp(clamp(a, -1, 1))
 }
 
 // rewardFor evaluates the routing implied by weights against the LP optimum
@@ -616,8 +539,4 @@ func (e *Env) rewardFor(weights []float64, gamma float64) (float64, error) {
 		return 0, fmt.Errorf("env: optimal utilisation is zero but agent's is %g", achieved)
 	}
 	return -achieved / opt, nil
-}
-
-func clamp(x, lo, hi float64) float64 {
-	return math.Min(hi, math.Max(lo, x))
 }

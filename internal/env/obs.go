@@ -190,7 +190,7 @@ func (e *Env) observe() (*Observation, error) {
 		return nil, err
 	}
 	if e.cfg.Mode == IterativeAction {
-		obs.SetIterativeState(e.pendingWeights, e.pendingSet, e.iterEdge)
+		obs.SetIterativeState(e.dec.pending, e.dec.set, e.dec.edge)
 	}
 	return obs, nil
 }

@@ -67,9 +67,9 @@ func (e *Env) State() State {
 	return State{
 		Member:     -1,
 		T:          e.t,
-		IterEdge:   e.iterEdge,
-		Pending:    append([]float64(nil), e.pendingWeights...),
-		PendingSet: append([]bool(nil), e.pendingSet...),
+		IterEdge:   e.dec.edge,
+		Pending:    append([]float64(nil), e.dec.pending...),
+		PendingSet: append([]bool(nil), e.dec.set...),
 	}
 }
 
@@ -89,15 +89,10 @@ func (e *Env) Restore(st State) error {
 		return fmt.Errorf("env: restore iter edge %d outside [0,%d)", st.IterEdge, ne)
 	}
 	e.t = st.T
-	e.iterEdge = st.IterEdge
-	e.pendingWeights = append([]float64(nil), st.Pending...)
-	e.pendingSet = append([]bool(nil), st.PendingSet...)
-	if e.pendingWeights == nil {
-		e.pendingWeights = make([]float64, ne)
-	}
-	if e.pendingSet == nil {
-		e.pendingSet = make([]bool, ne)
-	}
+	e.dec = newDecoder(ne)
+	copy(e.dec.pending, st.Pending)
+	copy(e.dec.set, st.PendingSet)
+	e.dec.edge = st.IterEdge
 	return nil
 }
 

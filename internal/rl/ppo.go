@@ -141,11 +141,6 @@ func (tr *Trainer) TrainWorkers(ctx context.Context, e env.Interface, totalSteps
 	return tr.run(ctx, e, totalSteps, workers, tr.cfg.RolloutSteps, g, tr.update, hooks)
 }
 
-// MeanAction returns the deterministic (mean) action for evaluation.
-func (tr *Trainer) MeanAction(obs *env.Observation) ([]float64, error) {
-	return MeanAction(tr.pol, obs)
-}
-
 // MeanAction evaluates pol deterministically on obs.
 func MeanAction(pol Forwarder, obs *env.Observation) ([]float64, error) {
 	t := getTape()

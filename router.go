@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -12,7 +11,6 @@ import (
 
 	"gddr/internal/env"
 	"gddr/internal/metrics"
-	"gddr/internal/policy"
 	"gddr/internal/rl"
 	"gddr/internal/routing"
 	"gddr/internal/traffic"
@@ -362,15 +360,11 @@ func newRouter(agent *Agent, g *Graph, cfg routerConfig) (*Router, error) {
 		return nil, fmt.Errorf("gddr: router topology must be strongly connected")
 	}
 	ecfg := agent.envConfig()
-	base := g.UnitWeights()
-	if ecfg.CapacityAware {
-		base = g.InverseCapacityWeights()
-	}
 	r := &Router{
 		agent:       agent,
 		g:           g,
 		ecfg:        ecfg,
-		base:        base,
+		base:        env.BaseWeights(g, ecfg),
 		maxBatch:    cfg.maxBatch,
 		batchWindow: cfg.batchWindow,
 		noCache:     cfg.noCache,
@@ -395,14 +389,14 @@ func newRouter(agent *Agent, g *Graph, cfg routerConfig) (*Router, error) {
 		}
 		r.hist.push(dm)
 	}
-	// Probe: one inference on the current history window catches policies
+	// Probe: one decision on the current history window catches policies
 	// whose shape is bound to a different topology before serving starts. The
 	// stage functions neither count nor cache — only serve does — so the
 	// probe leaves the cache cold and the serving counters honest.
 	if !cfg.skipProbe {
 		obs, err := env.Observe(g, r.hist.window(r.zero))
 		if err == nil {
-			_, _, _, err = r.infer(obs)
+			_, _, _, err = env.Decode(obs, r.base, ecfg, r.act)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("gddr: agent incompatible with topology: %w", err)
@@ -561,7 +555,7 @@ type batchStages struct {
 }
 
 // serve answers one batch in the explicit stage sequence window →
-// policy-cache lookup → observe → infer → strategy-cache lookup → build →
+// policy-cache lookup → observe → decode → strategy-cache lookup → build →
 // per-request evaluate. It is the only function that counts or reads the
 // clock: the stage functions it calls take no metrics or trace argument, so
 // every serving counter has exactly one increment site, here.
@@ -603,10 +597,10 @@ func (r *Router) serve(batch []*routeRequest) {
 	// first decisions observe the very demand they are routing.
 	hist := r.hist.observeAndPush(r.zero, live)
 
-	// Policy-cache lookup, else observe → infer. The three stages below run
+	// Policy-cache lookup, else observe → decode. The three stages below run
 	// only on a miss (≥100µs of forward pass), so their clock reads are
 	// unconditional. The observation lives in a pooled Observer's buffers:
-	// infer copies what it keeps, so the buffers are free again after it.
+	// decoding copies what it keeps, so the buffers are free again after it.
 	// An unchanged window is also a strategy hit: entries are published only
 	// with a built strategy.
 	var st batchStages
@@ -625,7 +619,7 @@ func (r *Router) serve(batch []*routeRequest) {
 		var weights []float64
 		var gamma float64
 		if err == nil {
-			weights, gamma, passes, err = r.infer(obs)
+			weights, gamma, passes, err = env.Decode(obs, r.base, r.ecfg, r.act)
 		}
 		st.observeNS = observed.Sub(start).Nanoseconds()
 		st.forwardNS = time.Since(observed).Nanoseconds()
@@ -735,57 +729,10 @@ func windowsEqual(a, b []*DemandMatrix) bool {
 	return true
 }
 
-// infer runs the policy on an observation and returns the edge weights,
-// softmin spread, and number of forward passes run (counted by serve, so the
-// construction-time probe never pollutes serving counters). MeanAction
-// copies what it keeps, so obs may live in reusable buffers.
-func (r *Router) infer(obs *env.Observation) ([]float64, float64, int, error) {
-	passes := 0
-	ne := r.g.NumEdges()
-	if r.agent.Kind == policy.GNNIterativeKind {
-		// The iterative policy sets one edge per forward pass and emits γ
-		// with its final action (paper §VII-B).
-		pending := make([]float64, ne)
-		set := make([]bool, ne)
-		gamma := r.ecfg.Gamma
-		for ei := 0; ei < ne; ei++ {
-			obs.SetIterativeState(pending, set, ei)
-			action, err := rl.MeanAction(r.agent.policy, obs)
-			passes++
-			if err != nil {
-				return nil, 0, passes, err
-			}
-			if len(action) != 2 {
-				return nil, 0, passes, fmt.Errorf("gddr: iterative policy emitted %d action values, want 2", len(action))
-			}
-			// Clamp to [-1,1] exactly as the training environment does
-			// before storing pending values, so the per-edge observations
-			// match the training distribution.
-			pending[ei] = math.Max(-1, math.Min(1, action[0]))
-			set[ei] = true
-			if ei == ne-1 {
-				gamma = env.GammaFromAction(action[1])
-			}
-		}
-		weights := make([]float64, ne)
-		for ei, a := range pending {
-			weights[ei] = env.WeightFromAction(r.base[ei], r.ecfg.WeightScale, a)
-		}
-		return weights, gamma, passes, nil
-	}
-	action, err := rl.MeanAction(r.agent.policy, obs)
-	passes++
-	if err != nil {
-		return nil, 0, passes, err
-	}
-	if len(action) != ne {
-		return nil, 0, passes, fmt.Errorf("gddr: policy emitted %d action values for %d edges", len(action), ne)
-	}
-	weights := make([]float64, ne)
-	for ei, a := range action {
-		weights[ei] = env.WeightFromAction(r.base[ei], r.ecfg.WeightScale, a)
-	}
-	return weights, r.ecfg.Gamma, passes, nil
+// act is the policy the decoder runs: the deterministic mean action.
+// MeanAction copies what it keeps, so obs may live in reusable buffers.
+func (r *Router) act(obs *env.Observation) ([]float64, error) {
+	return rl.MeanAction(r.agent.policy, obs)
 }
 
 // evaluate derives the full Decision for dm under the batch's routing

@@ -278,16 +278,19 @@ func (s *scanner) number() (v float64, ok bool) {
 // order, encoding/json's float format, null for nil values, and the
 // trailing newline. The decision's weights, gamma and splits — fixed by the
 // serving strategy, and most of the bytes — are rendered once per strategy:
-// last is the most recently rendered segment, reused while a decision's
-// values are bit-equal to the ones it was rendered from. Being keyed by
-// value, it needs to know nothing of tenants, topology versions or router
-// caches.
+// last is the most recently rendered segment, reused while a decision views
+// the very slices it was rendered from. A Decision's weights and splits are
+// read-only views of the strategy that served it, so the same slices hold
+// the same values; the encoder needs to know nothing of tenants, topology
+// versions or router caches.
 type responseEncoder struct {
 	last atomic.Pointer[strategySegment]
 }
 
-// strategySegment is `"weights":…,"gamma":…,"splits":{…}` rendered from
-// copies of the values it holds. Immutable once published.
+// strategySegment is `"weights":…,"gamma":…,"splits":{…}` rendered from the
+// decision slices it holds. Holding them keeps them alive, so no other
+// slice can be allocated at their addresses while the segment is in use.
+// Immutable once published.
 type strategySegment struct {
 	weights []float64
 	gamma   float64
@@ -342,36 +345,32 @@ func (e *responseEncoder) appendResponse(b []byte, tenant string, d *gddr.Decisi
 	return append(b, "}\n"...), nil
 }
 
-// matches reports whether d's weights, gamma and splits are bit-equal to
-// the segment's (so -0 and 0 differ), nil-ness included.
+// matches reports whether d views the segment's own slices: the same
+// backing array and length for the weights and for every split row (so nil
+// and empty differ), the same sinks, and gamma's bits (so -0 and 0 differ).
 func (s *strategySegment) matches(d *gddr.Decision) bool {
-	if !bitsEqual(s.weights, d.Weights) || math.Float64bits(s.gamma) != math.Float64bits(d.Gamma) ||
+	if !sameSlice(s.weights, d.Weights) || math.Float64bits(s.gamma) != math.Float64bits(d.Gamma) ||
 		(s.splits == nil) != (d.Splits == nil) || len(s.splits) != len(d.Splits) {
 		return false
 	}
 	for sink, row := range d.Splits {
 		mine, ok := s.splits[sink]
-		if !ok || !bitsEqual(mine, row) {
+		if !ok || !sameSlice(mine, row) {
 			return false
 		}
 	}
 	return true
 }
 
-func bitsEqual(a, b []float64) bool {
+func sameSlice(a, b []float64) bool {
 	if len(a) != len(b) || (a == nil) != (b == nil) {
 		return false
 	}
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
+	return len(a) == 0 || &a[0] == &b[0]
 }
 
 func newStrategySegment(d *gddr.Decision) (*strategySegment, error) {
-	s := &strategySegment{weights: slices.Clone(d.Weights), gamma: d.Gamma}
+	s := &strategySegment{weights: d.Weights, gamma: d.Gamma, splits: d.Splits}
 	b, err := appendFloats(append(make([]byte, 0, 1024), `"weights":`...), "weights", d.Weights)
 	if err != nil {
 		return nil, err
@@ -390,10 +389,8 @@ func newStrategySegment(d *gddr.Decision) (*strategySegment, error) {
 		row []float64
 	}
 	rows := make([]sinkRow, 0, len(d.Splits))
-	s.splits = make(map[int][]float64, len(d.Splits))
 	for sink, row := range d.Splits {
 		rows = append(rows, sinkRow{strconv.Itoa(sink), row})
-		s.splits[sink] = slices.Clone(row)
 	}
 	slices.SortFunc(rows, func(a, b sinkRow) int { return strings.Compare(a.key, b.key) })
 	b = append(b, '{')

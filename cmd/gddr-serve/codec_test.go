@@ -117,6 +117,20 @@ func checkDecode(t *testing.T, body []byte) {
 	}
 }
 
+// bitsEqual reports whether a and b hold the same float64 bits, nil-ness
+// included.
+func bitsEqual(a, b []float64) bool {
+	if len(a) != len(b) || (a == nil) != (b == nil) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // checkEncode asserts the encode property: enc, whatever its memo holds,
 // renders d exactly as the oracle does.
 func checkEncode(t *testing.T, enc *responseEncoder, d *gddr.Decision, version, elapsedUS int64) {

@@ -86,12 +86,12 @@ func (g *Gauge) Add(d float64) {
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Histogram is a fixed-bucket distribution: cumulative-on-exposition bucket
-// counts over the configured upper bounds, plus a running sum and count.
-// Observe is safe for concurrent use and allocation-free.
+// counts over the configured upper bounds, plus a running sum; the count is
+// the buckets' total. Observe is safe for concurrent use and
+// allocation-free.
 type Histogram struct {
-	bounds  []float64 // sorted upper bounds, +Inf excluded
-	buckets []atomic.Int64
-	count   atomic.Int64
+	bounds  []float64      // sorted upper bounds, +Inf excluded
+	buckets []atomic.Int64 // one per bound, then +Inf
 	sumBits atomic.Uint64
 }
 
@@ -103,10 +103,7 @@ func (h *Histogram) Observe(v float64) {
 	for i < len(h.bounds) && v > h.bounds[i] {
 		i++
 	}
-	if i < len(h.buckets) {
-		h.buckets[i].Add(1)
-	}
-	h.count.Add(1)
+	h.buckets[i].Add(1)
 	for {
 		old := h.sumBits.Load()
 		if h.sumBits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
@@ -116,7 +113,13 @@ func (h *Histogram) Observe(v float64) {
 }
 
 // Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
+func (h *Histogram) Count() int64 {
+	var n int64
+	for i := range h.buckets {
+		n += h.buckets[i].Load()
+	}
+	return n
+}
 
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
@@ -337,7 +340,7 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 			}
 		}
 		h := &Histogram{bounds: append([]float64(nil), bounds...)}
-		h.buckets = make([]atomic.Int64, len(h.bounds))
+		h.buckets = make([]atomic.Int64, len(h.bounds)+1)
 		return &instrument{histogram: h}
 	}).histogram
 }

@@ -8,6 +8,7 @@ package routing
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"gddr/internal/graph"
@@ -23,19 +24,9 @@ const DefaultGamma = 2.0
 // DAG construction is well defined.
 const MinWeight = 1e-6
 
-// Softmin normalises values into a probability distribution favouring small
-// entries: softmin(x)_i = exp(-γ·x_i) / Σ_j exp(-γ·x_j). It is numerically
-// stabilised by shifting by the minimum entry.
-func Softmin(values []float64, gamma float64) []float64 {
-	out := make([]float64, len(values))
-	if len(values) > 0 {
-		softminInto(out, values, gamma)
-	}
-	return out
-}
-
 // softminInto writes the softmin of scores (non-empty) into dst, which has
-// the same length and may be scores itself.
+// the same length and may be scores itself: softmin(x)_i = exp(-γ·x_i) /
+// Σ_j exp(-γ·x_j), numerically stabilised by shifting by the minimum entry.
 func softminInto(dst, scores []float64, gamma float64) {
 	minV := scores[0]
 	for _, v := range scores {
@@ -112,23 +103,11 @@ func ClampWeights(weights []float64) ([]float64, error) {
 	return clamped, nil
 }
 
-// SplittingRatios runs the paper's softmin routing algorithm (Figure 2) for
-// one destination: per vertex, the score of each kept out-edge is the edge
-// weight plus the neighbour's distance to the sink, and the splitting
-// ratios are the softmin of those scores.
-func SplittingRatios(g *graph.Graph, sink int, weights []float64, gamma float64) (*Ratios, error) {
-	if gamma <= 0 {
-		return nil, fmt.Errorf("routing: gamma must be positive, got %g", gamma)
-	}
-	clamped, err := ClampWeights(weights)
-	if err != nil {
-		return nil, err
-	}
-	return splittingRatiosClamped(g, sink, clamped, gamma)
-}
-
-// splittingRatiosClamped is SplittingRatios after weight validation and
-// clamping, the shared path of the one-shot and Strategy callers.
+// splittingRatiosClamped runs the paper's softmin routing algorithm
+// (Figure 2) for one destination on validated, clamped weights: per vertex,
+// the score of each kept out-edge is the edge weight plus the neighbour's
+// distance to the sink, and the splitting ratios are the softmin of those
+// scores.
 func splittingRatiosClamped(g *graph.Graph, sink int, clamped []float64, gamma float64) (*Ratios, error) {
 	keep, dist, err := DestinationDAG(g, sink, clamped)
 	if err != nil {
@@ -275,6 +254,9 @@ type Strategy struct {
 	weights []float64 // caller-supplied weights (pre-clamp), the cache key
 	gamma   float64
 	sinks   []*Ratios // indexed by sink, every entry built
+	// splits maps every sink to its Ratio row: the Splits view of demand
+	// that loads every sink.
+	splits map[int][]float64
 }
 
 // NewStrategy validates (weights, gamma) for g and builds the splitting
@@ -309,13 +291,14 @@ func NewShortestPathStrategy(g *graph.Graph) (*Strategy, error) {
 
 // newStrategy fills the per-sink table with build, taking ownership of weights.
 func newStrategy(g *graph.Graph, weights []float64, gamma float64, build func(sink int) (*Ratios, error)) (*Strategy, error) {
-	s := &Strategy{g: g, weights: weights, gamma: gamma, sinks: make([]*Ratios, g.NumNodes())}
+	n := g.NumNodes()
+	s := &Strategy{g: g, weights: weights, gamma: gamma, sinks: make([]*Ratios, n), splits: make(map[int][]float64, n)}
 	for sink := range s.sinks {
 		rt, err := build(sink)
 		if err != nil {
 			return nil, fmt.Errorf("routing: sink %d: %w", sink, err)
 		}
-		s.sinks[sink] = rt
+		s.sinks[sink], s.splits[sink] = rt, rt.Ratio
 	}
 	return s, nil
 }
@@ -345,6 +328,24 @@ func (s *Strategy) Matches(weights []float64, gamma float64) bool {
 // strategy's graph). They are shared and read-only. The error is always
 // nil: the constructor built every sink.
 func (s *Strategy) Ratios(sink int) (*Ratios, error) { return s.sinks[sink], nil }
+
+// Splits returns the Ratio rows of the sinks with in[sink] != 0 (in is
+// indexed by sink, as Scratch.InSums is after Evaluate), keyed by sink. The
+// rows are the strategy's own: shared and read-only. When every sink has
+// demand, the served dense case, the map is the strategy's one prebuilt
+// map, equally read-only; otherwise it is fresh.
+func (s *Strategy) Splits(in []float64) map[int][]float64 {
+	if !slices.Contains(in, 0) {
+		return s.splits
+	}
+	splits := make(map[int][]float64, len(in))
+	for sink, v := range in {
+		if v != 0 {
+			splits[sink] = s.sinks[sink].Ratio
+		}
+	}
+	return splits
+}
 
 // Scratch holds the buffers Strategy.Evaluate reuses from call to call, so a
 // caller that keeps one evaluates without allocating. The zero value is

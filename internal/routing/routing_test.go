@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -11,6 +12,29 @@ import (
 	"gddr/internal/topo"
 	"gddr/internal/traffic"
 )
+
+// Softmin normalises values into a probability distribution favouring
+// small entries, as softminInto does.
+func Softmin(values []float64, gamma float64) []float64 {
+	out := make([]float64, len(values))
+	if len(values) > 0 {
+		softminInto(out, values, gamma)
+	}
+	return out
+}
+
+// SplittingRatios is the softmin splitting ratios towards one sink on raw
+// weights: a one-sink Strategy, validated and clamped as NewStrategy does.
+func SplittingRatios(g *graph.Graph, sink int, weights []float64, gamma float64) (*Ratios, error) {
+	if gamma <= 0 {
+		return nil, fmt.Errorf("routing: gamma must be positive, got %g", gamma)
+	}
+	clamped, err := ClampWeights(weights)
+	if err != nil {
+		return nil, err
+	}
+	return splittingRatiosClamped(g, sink, clamped, gamma)
+}
 
 func TestSoftminIsDistribution(t *testing.T) {
 	f := func(seed int64) bool {

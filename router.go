@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,7 +36,10 @@ var ErrInternal = errors.New("gddr: internal serving error")
 // Decision is the routing decision for one demand matrix: the learned edge
 // weights, the softmin spread, the fully-specified splitting ratios they
 // induce, and the link loads and utilisation of applying that routing to
-// the requested demand. All fields are owned by the caller.
+// the requested demand. Weights and Splits (the map and every row) are
+// read-only views of the serving strategy, shared by every decision it
+// serves; Loads, Utilization and Trace are the caller's. Clone gives a copy
+// that is the caller's throughout.
 type Decision struct {
 	// Weights holds one strictly positive weight per edge (graph edge
 	// order), as emitted by the policy's action head.
@@ -57,6 +62,21 @@ type Decision struct {
 	// Trace is the per-request timing breakdown, attached only when the
 	// router was built with WithTracing.
 	Trace *RouteTrace `json:"trace,omitempty"`
+}
+
+// Clone returns a deep copy of d, every slice and map the caller's own.
+func (d *Decision) Clone() *Decision {
+	c := *d
+	c.Weights, c.Loads, c.Utilization = slices.Clone(d.Weights), slices.Clone(d.Loads), slices.Clone(d.Utilization)
+	c.Splits = maps.Clone(d.Splits)
+	for sink, row := range c.Splits {
+		c.Splits[sink] = slices.Clone(row)
+	}
+	if d.Trace != nil {
+		t := *d.Trace
+		c.Trace = &t
+	}
+	return &c
 }
 
 // RouteTrace is the opt-in (WithTracing) per-request timing breakdown: how
@@ -263,13 +283,21 @@ func newDemandHistory(memory int) *demandHistory {
 
 // observeAndPush atomically snapshots the observation window (cold-start
 // slots padded with pad) and appends the batch's matrices, so concurrent
-// batches serialise into one coherent history: each batch observes everything pushed before it and
-// nothing pushed after. The returned window is freshly allocated
-// (HistoryWindow copies the pointer slice) and safe to retain.
-func (h *demandHistory) observeAndPush(pad *DemandMatrix, batch []*routeRequest) []*DemandMatrix {
+// batches serialise into one coherent history: each batch observes
+// everything pushed before it and nothing pushed after. The window returned
+// is the cached entry's own when its slots are pointer-identical to the
+// full history (steady demand re-pushes the same matrices), and a fresh
+// HistoryWindow copy otherwise; no one writes either again, so it is safe
+// to retain.
+func (h *demandHistory) observeAndPush(pad *DemandMatrix, batch []*routeRequest, cached *servingCache) []*DemandMatrix {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	win := env.HistoryWindow(h.dms, h.memory, pad)
+	var win []*DemandMatrix
+	if cached != nil && slices.Equal(cached.window, h.dms) {
+		win = cached.window
+	} else {
+		win = env.HistoryWindow(h.dms, h.memory, pad)
+	}
 	for _, req := range batch {
 		h.pushLocked(req.dm)
 	}
@@ -327,10 +355,17 @@ func (h *demandHistory) push(dm *DemandMatrix) {
 	h.pushLocked(dm)
 }
 
+// monoEpoch anchors monoNow, the serving path's clock: nanoseconds on the
+// monotonic clock alone, which costs one clock read where time.Now costs
+// two (wall and monotonic).
+var monoEpoch = time.Now()
+
+func monoNow() int64 { return int64(time.Since(monoEpoch)) }
+
 type routeRequest struct {
 	ctx      context.Context
 	dm       *DemandMatrix
-	enqueued time.Time // set unless the router is noMetrics and untraced
+	enqueued int64 // monoNow at submission; set unless noMetrics and untraced
 	resp     chan routeResponse
 }
 
@@ -412,7 +447,9 @@ func newRouter(agent *Agent, g *Graph, cfg routerConfig) (*Router, error) {
 // after Route returns (a mutated matrix would silently rewrite the demand
 // history past decisions were supposed to have observed, and defeat the
 // serving cache's change detection — submit a fresh or cloned matrix per
-// tick instead). Route is safe for concurrent use: requests that arrive
+// tick instead). The Decision's Weights and Splits are likewise not the
+// caller's to modify: they are views shared with other decisions (see
+// Decision). Route is safe for concurrent use: requests that arrive
 // while the policy is busy are batched onto one shared forward pass, served
 // on the goroutine of whichever caller holds a serve slot. Cancelling ctx
 // abandons the request.
@@ -431,7 +468,7 @@ func (r *Router) Route(ctx context.Context, dm *DemandMatrix) (*Decision, error)
 	// it, so it cannot live on this stack or in a pool keyed to it.
 	req := &routeRequest{ctx: ctx, dm: dm, resp: make(chan routeResponse, 1)}
 	if !r.noMetrics || r.tracing {
-		req.enqueued = time.Now()
+		req.enqueued = monoNow()
 	}
 	r.mu.Lock()
 	if r.closed {
@@ -578,14 +615,14 @@ func (r *Router) serve(batch []*routeRequest) {
 	defer r.contain(live)
 	r.met.batches.Inc()
 	r.met.requests.Add(int64(len(live)))
-	var picked time.Time
+	var picked int64
 	if !r.noMetrics || r.tracing {
-		picked = time.Now()
+		picked = monoNow()
 	}
 	if !r.noMetrics {
 		r.met.batchSize.Observe(float64(len(live)))
 		for _, req := range live {
-			r.met.queueWait.Observe(picked.Sub(req.enqueued).Seconds())
+			r.met.queueWait.Observe(float64(picked-req.enqueued) / 1e9)
 		}
 	}
 
@@ -595,7 +632,8 @@ func (r *Router) serve(batch []*routeRequest) {
 	// history is padded with zero matrices — the "no traffic observed yet"
 	// statement — never with a batch member's own demand, which would let the
 	// first decisions observe the very demand they are routing.
-	hist := r.hist.observeAndPush(r.zero, live)
+	cached := r.cache.Load()
+	hist := r.hist.observeAndPush(r.zero, live, cached)
 
 	// Policy-cache lookup, else observe → decode. The three stages below run
 	// only on a miss (≥100µs of forward pass), so their clock reads are
@@ -605,7 +643,6 @@ func (r *Router) serve(batch []*routeRequest) {
 	// with a built strategy.
 	var st batchStages
 	var strat *routing.Strategy
-	cached := r.cache.Load()
 	if cached != nil && windowsEqual(cached.window, hist) {
 		strat = cached.strategy
 		st.policyCacheHit, st.strategyCacheHit = true, true
@@ -666,9 +703,9 @@ func (r *Router) serve(batch []*routeRequest) {
 		}
 		d, err := r.evaluate(req.dm, strat)
 		if d != nil && r.tracing {
-			d.Trace = &RouteTrace{
+			*d.Trace = RouteTrace{
 				BatchSize:        len(live),
-				QueueWaitNS:      picked.Sub(req.enqueued).Nanoseconds(),
+				QueueWaitNS:      picked - req.enqueued,
 				ObserveNS:        st.observeNS,
 				ForwardNS:        st.forwardNS,
 				StrategyNS:       st.strategyNS,
@@ -678,7 +715,7 @@ func (r *Router) serve(batch []*routeRequest) {
 			}
 		}
 		if !r.noMetrics {
-			r.met.routeLatency.Observe(time.Since(req.enqueued).Seconds())
+			r.met.routeLatency.Observe(float64(monoNow()-req.enqueued) / 1e9)
 		}
 		req.resp <- routeResponse{d: d, err: err}
 	}
@@ -714,12 +751,16 @@ func (r *Router) contain(live []*routeRequest) {
 	}
 }
 
-// windowsEqual reports whether two history windows hold the same demand,
-// with a pointer fast path per slot (steady demand re-pushes the same
-// matrices) before falling back to entry comparison.
+// windowsEqual reports whether two history windows hold the same demand:
+// trivially when they are one slice (observeAndPush reused the cached
+// window), else with a pointer fast path per slot before falling back to
+// entry comparison.
 func windowsEqual(a, b []*DemandMatrix) bool {
 	if len(a) != len(b) {
 		return false
+	}
+	if len(a) == 0 || &a[0] == &b[0] {
+		return true
 	}
 	for i := range a {
 		if a[i] != b[i] && !a[i].Equal(b[i]) {
@@ -737,8 +778,10 @@ func (r *Router) act(obs *env.Observation) ([]float64, error) {
 
 // evaluate derives the full Decision for dm under the batch's routing
 // strategy: Strategy.Evaluate propagates the demand through pooled scratch,
-// and the ratio rows of the sinks that carried load are copied out. Only the
-// caller-owned Decision fields are allocated.
+// and the Decision views the strategy's weights and the ratio rows of the
+// sinks that carried load. Only the caller-owned fields are allocated: the
+// Decision, its loads and utilisation, and its RouteTrace when tracing,
+// which serve fills in.
 func (r *Router) evaluate(dm *DemandMatrix, strat *routing.Strategy) (*Decision, error) {
 	ne := r.g.NumEdges()
 	sc := r.scratch.Get().(*routing.Scratch)
@@ -750,22 +793,17 @@ func (r *Router) evaluate(dm *DemandMatrix, strat *routing.Strategy) (*Decision,
 	if err != nil {
 		return nil, fmt.Errorf("gddr: route: %w", err)
 	}
-	// Sized for every node: served demand is dense, all n are sinks.
-	splits := make(map[int][]float64, len(sc.InSums))
-	for sink, in := range sc.InSums {
-		if in == 0 {
-			continue
-		}
-		rt, _ := strat.Ratios(sink) // never fails, see Strategy.Ratios
-		splits[sink] = append([]float64(nil), rt.Ratio...)
+	var d *Decision
+	if r.tracing { // one allocation for the Decision and its trace
+		dt := new(struct {
+			Decision
+			RouteTrace
+		})
+		d, dt.Trace = &dt.Decision, &dt.RouteTrace
+	} else {
+		d = new(Decision)
 	}
-	// The Decision and its Weights copy are the caller's to keep.
-	return &Decision{
-		Weights:        append([]float64(nil), strat.Weights()...),
-		Gamma:          strat.Gamma(),
-		Splits:         splits,
-		Loads:          loads,
-		Utilization:    util,
-		MaxUtilization: maxU,
-	}, nil
+	d.Weights, d.Gamma, d.Splits = strat.Weights(), strat.Gamma(), strat.Splits(sc.InSums)
+	d.Loads, d.Utilization, d.MaxUtilization = loads, util, maxU
+	return d, nil
 }

@@ -82,7 +82,8 @@ type Ratios struct {
 	Dist  []float64
 	// order is the vertex propagation order (decreasing distance to the
 	// sink — a topological order of the downhill DAG), precomputed at
-	// construction so repeated Loads calls do not re-sort.
+	// construction so repeated Loads calls do not re-sort (and so the hop
+	// program is emitted in it).
 	order []int
 }
 
@@ -190,8 +191,9 @@ func propagationOrder(dist []float64) []int {
 // Loads ADDS into loads without zeroing it first — that is how the per-sink
 // results compose into one total-load vector. A caller reusing a loads
 // buffer across evaluations must therefore zero it between them, or the
-// previous evaluation's loads silently double-count (Strategy.Evaluate does
-// exactly this reset).
+// previous evaluation's loads silently double-count (Strategy.Evaluate,
+// which runs the strategy's hop program rather than this loop, zeroes its
+// loads first for the same reason).
 func (r *Ratios) Loads(g *graph.Graph, dm *traffic.DemandMatrix, loads []float64) error {
 	return r.AccumulateLoads(g, dm, loads, nil)
 }
@@ -202,25 +204,14 @@ func (r *Ratios) Loads(g *graph.Graph, dm *traffic.DemandMatrix, loads []float64
 // with zero allocations. The accumulation contract of Loads applies: loads
 // is added into, not reset. Propagation processes vertices in decreasing
 // distance order, which is a topological order of the downhill DAG.
+// It is the reference loop Strategy.Evaluate's hop program reproduces.
 func (r *Ratios) AccumulateLoads(g *graph.Graph, dm *traffic.DemandMatrix, loads, inflow []float64) error {
-	n := g.NumNodes()
 	if inflow == nil {
-		inflow = make([]float64, n)
+		inflow = make([]float64, g.NumNodes())
 	}
-	total := 0.0
-	for s := 0; s < n; s++ {
-		d := dm.At(s, r.Sink)
-		if d < 0 {
-			return fmt.Errorf("routing: negative demand at (%d,%d)", s, r.Sink)
-		}
-		if d > 0 && math.IsInf(r.Dist[s], 1) {
-			return fmt.Errorf("routing: node %d cannot reach sink %d but has demand", s, r.Sink)
-		}
-		inflow[s] = d
-		total += d
-	}
-	if total == 0 {
-		return nil
+	total, err := r.column(dm, inflow)
+	if err != nil || total == 0 {
+		return err
 	}
 	for _, v := range r.order {
 		if v == r.Sink || inflow[v] == 0 {
@@ -242,13 +233,40 @@ func (r *Ratios) AccumulateLoads(g *graph.Graph, dm *traffic.DemandMatrix, loads
 	return nil
 }
 
+// column copies the demand destined for r.Sink into inflow (len NumNodes)
+// and returns its total. It rejects a negative entry and an entry at a node
+// that cannot reach the sink, checking sources in increasing index.
+func (r *Ratios) column(dm *traffic.DemandMatrix, inflow []float64) (float64, error) {
+	total := 0.0
+	for s, dist := range r.Dist {
+		d := dm.At(s, r.Sink)
+		if d < 0 {
+			return 0, fmt.Errorf("routing: negative demand at (%d,%d)", s, r.Sink)
+		}
+		if d > 0 && math.IsInf(dist, 1) {
+			return 0, fmt.Errorf("routing: node %d cannot reach sink %d but has demand", s, r.Sink)
+		}
+		inflow[s] = d
+		total += d
+	}
+	return total, nil
+}
+
+// hop moves the share ratio of the flow at vertex from over edge into to.
+type hop struct {
+	from, to, edge int32
+	ratio          float64
+}
+
 // Strategy is one fully-specified routing strategy: the complete table of
 // per-sink splitting ratios induced by a (weights, gamma) pair on one graph.
 // It is the unit the serving fast path reuses across request batches while
 // the policy keeps emitting the same weights — the softmin translation (§VI)
 // runs once per strategy instead of once per batch. A Strategy is complete
 // when its constructor returns and is never written again, so it is safe for
-// concurrent use without a lock.
+// concurrent use without a lock. Evaluate runs the ratios compiled into one
+// flat hop program: 24 bytes per kept non-zero-ratio edge per sink, 16–20 KB
+// on Géant.
 type Strategy struct {
 	g       *graph.Graph
 	weights []float64 // caller-supplied weights (pre-clamp), the cache key
@@ -257,6 +275,10 @@ type Strategy struct {
 	// splits maps every sink to its Ratio row: the Splits view of demand
 	// that loads every sink.
 	splits map[int][]float64
+	// prog holds every sink's hops in AccumulateLoads' visiting order:
+	// sink t's are prog[off[t]:off[t+1]].
+	prog []hop
+	off  []int32
 }
 
 // NewStrategy validates (weights, gamma) for g and builds the splitting
@@ -300,7 +322,37 @@ func newStrategy(g *graph.Graph, weights []float64, gamma float64, build func(si
 		}
 		s.sinks[sink], s.splits[sink] = rt, rt.Ratio
 	}
+	s.compile()
 	return s, nil
+}
+
+// compile writes each sink's steps of AccumulateLoads that can carry load as
+// hops, in the loop's order. No edge out of the sink or an unreachable vertex
+// is kept, so counting kept non-zero ratios sizes the program exactly.
+func (s *Strategy) compile() {
+	g := s.g
+	count := 0
+	for _, r := range s.sinks {
+		for ei, keep := range r.Keep {
+			if keep && r.Ratio[ei] != 0 {
+				count++
+			}
+		}
+	}
+	s.prog, s.off = make([]hop, 0, count), make([]int32, len(s.sinks)+1)
+	for sink, r := range s.sinks {
+		for _, v := range r.order {
+			if v == sink || math.IsInf(r.Dist[v], 1) {
+				continue
+			}
+			for _, ei := range g.OutEdges(v) {
+				if r.Keep[ei] && r.Ratio[ei] != 0 {
+					s.prog = append(s.prog, hop{from: int32(v), to: int32(g.Edge(ei).To), edge: int32(ei), ratio: r.Ratio[ei]})
+				}
+			}
+		}
+		s.off[sink+1] = int32(len(s.prog))
+	}
 }
 
 // Gamma returns the softmin spread the strategy was built with.
@@ -359,10 +411,12 @@ type Scratch struct {
 }
 
 // Evaluate is the module's one load evaluator: it propagates every sink's
-// demand in dm through the strategy's ratios (sinks in increasing index,
-// those without demand skipped), overwrites loads and util (len NumEdges
-// each) with the per-edge traffic and load/capacity, and returns the maximum
-// utilisation.
+// demand in dm through the strategy's hop program (sinks in increasing
+// index, those without demand skipped), overwrites loads and util (len
+// NumEdges each) with the per-edge traffic and load/capacity, and returns
+// the maximum utilisation. Per sink the hops add in AccumulateLoads' order,
+// so the loads are that loop's bit for bit; the loop's skip of vertices with
+// no inflow only ever added +0.
 func (s *Strategy) Evaluate(dm *traffic.DemandMatrix, sc *Scratch, loads, util []float64) (float64, error) {
 	g := s.g
 	n := g.NumNodes()
@@ -374,12 +428,18 @@ func (s *Strategy) Evaluate(dm *traffic.DemandMatrix, sc *Scratch, loads, util [
 	}
 	dm.InSums(sc.InSums)
 	clear(loads)
+	inflow := sc.inflow
 	for sink, in := range sc.InSums {
 		if in == 0 {
 			continue
 		}
-		if err := s.sinks[sink].AccumulateLoads(g, dm, loads, sc.inflow); err != nil {
+		if _, err := s.sinks[sink].column(dm, inflow); err != nil {
 			return 0, fmt.Errorf("routing: sink %d: %w", sink, err)
+		}
+		for _, h := range s.prog[s.off[sink]:s.off[sink+1]] {
+			f := inflow[h.from] * h.ratio
+			loads[h.edge] += f
+			inflow[h.to] += f
 		}
 	}
 	maxU := 0.0

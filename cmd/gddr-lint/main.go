@@ -1,7 +1,7 @@
 // Command gddr-lint runs the repo's custom static-analysis suite
-// (internal/analysis) over the module: contract checks that go vet cannot
-// express, built purely on the standard library's go/parser, go/ast,
-// go/types and go/token.
+// (internal/analysis) over the module: contract checks that neither go vet
+// nor a test can make, built purely on the standard library's go/parser,
+// go/ast, go/types and go/token.
 //
 //	gddr-lint ./...                    # the CI gate
 //	gddr-lint -checks determinism ./internal/rl
@@ -12,12 +12,7 @@
 //
 //	determinism  deterministic packages draw randomness from serialisable
 //	             internal/rng streams, never the wall clock or map order
-//	metricnames  registry metric names follow gddr_<subsystem>_<name>_<unit>
 //	ctxflow      ctx-accepting functions forward ctx, never mint Background/TODO
-//	jsonerrors   gateway handlers keep the {"error": ...} JSON contract
-//	lockguard    //gddr:guardedby fields are only touched with their mutex held
-//	atomicpub    atomic.Pointer fields follow the copy-on-write publication
-//	             contract: Store under the writer mutex, no writes through Load
 //
 // A finding is suppressed only by an explicit in-place directive:
 //

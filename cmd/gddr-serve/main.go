@@ -140,39 +140,9 @@ func run() error {
 			"default", id == defaultID)
 	}
 
-	start := time.Now()
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /t/{id}/route", handleRoute(fleet, ""))
-	mux.HandleFunc("POST /t/{id}/topology/event", handleEvent(fleet, ""))
-	mux.HandleFunc("POST /t/{id}/model/swap", handleSwap(fleet, ""))
-	mux.HandleFunc("GET /t/{id}/stats", handleStats(fleet, "", start))
-	mux.HandleFunc("GET /t/{id}/metrics", handleTenantMetrics(fleet))
-	mux.HandleFunc("POST /tenants", handleTenantCreate(fleet))
-	mux.HandleFunc("GET /tenants", handleTenantList(fleet, defaultID))
-	mux.HandleFunc("DELETE /tenants/{id}", handleTenantDelete(fleet))
-	// Un-prefixed aliases keep the single-tenant API of earlier releases
-	// working against the default tenant.
-	mux.HandleFunc("POST /route", handleRoute(fleet, defaultID))
-	mux.HandleFunc("POST /topology/event", handleEvent(fleet, defaultID))
-	mux.HandleFunc("POST /model/swap", handleSwap(fleet, defaultID))
-	mux.HandleFunc("GET /stats", handleStats(fleet, defaultID, start))
-	mux.HandleFunc("GET /healthz", handleHealthz(fleet, defaultID, start))
-	mux.HandleFunc("GET /metrics", handleMetrics(fleet, defaultID))
-	if *pprofOn {
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	}
-
-	// The instrumentation middleware wraps OUTSIDE jsonErrors so it records
-	// the status the client actually receives, including mux rejections
-	// rewritten into the JSON error contract. Gateway HTTP metrics live in
-	// the fleet registry, which /metrics always exposes.
 	server := &http.Server{
 		Addr:              *addr,
-		Handler:           instrument(fleet.Metrics(), jsonErrors(mux)),
+		Handler:           newGateway(fleet, defaultID, time.Now(), *pprofOn),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 	errCh := make(chan error, 1)
@@ -191,6 +161,39 @@ func run() error {
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	return server.Shutdown(shutdownCtx)
+}
+
+// newGateway mounts every route on one mux behind the gateway middleware.
+// The instrumentation middleware wraps OUTSIDE jsonErrors so it records
+// the status the client actually receives, including mux rejections
+// rewritten into the JSON error contract. Gateway HTTP metrics live in
+// the fleet registry, which /metrics always exposes.
+func newGateway(fleet *gddr.Fleet, defaultID string, start time.Time, pprofOn bool) http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /t/{id}/route", handleRoute(fleet, ""))
+	mux.HandleFunc("POST /t/{id}/topology/event", handleEvent(fleet, ""))
+	mux.HandleFunc("POST /t/{id}/model/swap", handleSwap(fleet, ""))
+	mux.HandleFunc("GET /t/{id}/stats", handleStats(fleet, "", start))
+	mux.HandleFunc("GET /t/{id}/metrics", handleTenantMetrics(fleet))
+	mux.HandleFunc("POST /tenants", handleTenantCreate(fleet))
+	mux.HandleFunc("GET /tenants", handleTenantList(fleet, defaultID))
+	mux.HandleFunc("DELETE /tenants/{id}", handleTenantDelete(fleet))
+	// Un-prefixed aliases keep the single-tenant API of earlier releases
+	// working against the default tenant.
+	mux.HandleFunc("POST /route", handleRoute(fleet, defaultID))
+	mux.HandleFunc("POST /topology/event", handleEvent(fleet, defaultID))
+	mux.HandleFunc("POST /model/swap", handleSwap(fleet, defaultID))
+	mux.HandleFunc("GET /stats", handleStats(fleet, defaultID, start))
+	mux.HandleFunc("GET /healthz", handleHealthz(fleet, defaultID, start))
+	mux.HandleFunc("GET /metrics", handleMetrics(fleet, defaultID))
+	if pprofOn {
+		mux.HandleFunc("/debug/pprof/", pprof.Index)
+		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	}
+	return instrument(fleet.Metrics(), jsonErrors(mux))
 }
 
 // tenantFor resolves the handler's tenant: the {id} path value for /t/...

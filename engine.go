@@ -34,9 +34,9 @@ type Engine struct {
 	cfg routerConfig // workers/replicas/maxBatch reused for every rebuild
 
 	mu     sync.Mutex // serialises Apply/SwapAgent/SwapCheckpoint/Close
-	closed bool       //gddr:guardedby mu
+	closed bool       // guarded by mu
 
-	state atomic.Pointer[engineState] //gddr:guardedby mu
+	state atomic.Pointer[engineState] // stored only under mu
 
 	// registry is pinned for the engine's lifetime and shared with every
 	// snapshot's routers, which register into it idempotently: the serving

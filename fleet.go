@@ -80,8 +80,8 @@ type Fleet struct {
 	// mu serializes mutations (Create, Delete, Close). Readers go through
 	// the atomic map pointer and never take it.
 	mu      sync.Mutex
-	tenants atomic.Pointer[map[string]*Tenant] //gddr:guardedby mu
-	closed  bool                               //gddr:guardedby mu
+	tenants atomic.Pointer[map[string]*Tenant] // stored only under mu
+	closed  bool                               // guarded by mu
 
 	registry   *metrics.Registry
 	maxTenants int

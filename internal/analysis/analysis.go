@@ -1,26 +1,21 @@
-// Package analysis is the repo's custom static-analysis suite: a set of
+// Package analysis is the repo's custom static-analysis suite: the
 // GDDR-specific analyzers built purely on the standard library's go/parser,
 // go/ast, go/types and go/token (no golang.org/x/tools, preserving the
-// zero-dependency stance). The analyzers machine-enforce contracts that are
-// otherwise only convention:
+// zero-dependency stance). The suite keeps only the contracts no test can
+// check, because a test sees what code does, not what it might do:
 //
 //   - determinism: the deterministic packages draw randomness from
 //     serialisable internal/rng streams and never read the wall clock or
 //     accumulate floats in map order (DESIGN.md "Training determinism
 //     contract").
-//   - metricnames: metric names registered on a metrics.Registry follow the
-//     gddr_<subsystem>_<name>_<unit> grammar (DESIGN.md "Metric naming
-//     contract").
 //   - ctxflow: a function that accepts a context.Context uses it — no fresh
 //     context.Background()/TODO() chains severing cancellation.
-//   - jsonerrors: gateway handlers route every error status through the
-//     JSON error-contract helpers, never bare http.Error/WriteHeader.
-//   - lockguard: struct fields annotated //gddr:guardedby <mu> are read and
-//     written only while the named sibling mutex is held (DESIGN.md "Tenant
-//     isolation contract").
-//   - atomicpub: annotated atomic.Pointer fields follow the copy-on-write
-//     publication contract — stores only under the designated writer mutex,
-//     no writes through a Load() result.
+//
+// Contracts a test can hold are held by tests (DESIGN.md "Enforced
+// invariants"): the metric name grammar by the registry walks over
+// CheckMetricName, the gateway's JSON errors by TestGatewayErrorsAreJSON,
+// and the mutex and copy-on-write publication contracts by the -race
+// concurrency and lost-update tests.
 //
 // A finding is suppressible only with an explicit directive on (or on the
 // line above) the offending line:
@@ -50,7 +45,7 @@ type Analyzer struct {
 
 // All returns the full suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{Determinism, MetricNames, CtxFlow, JSONErrors, LockGuard, AtomicPub}
+	return []*Analyzer{Determinism, CtxFlow}
 }
 
 // ByName resolves a comma-separated list of analyzer names.
@@ -67,7 +62,7 @@ func ByName(list string) ([]*Analyzer, error) {
 		name = strings.TrimSpace(name)
 		a, ok := byName[name]
 		if !ok {
-			return nil, fmt.Errorf("unknown check %q (have determinism, metricnames, ctxflow, jsonerrors, lockguard, atomicpub)", name)
+			return nil, fmt.Errorf("unknown check %q (have determinism, ctxflow)", name)
 		}
 		out = append(out, a)
 	}
@@ -88,16 +83,6 @@ type Config struct {
 	// root package's train.go but not its serving files, which legitimately
 	// time requests.
 	DeterministicFiles map[string][]string
-	// ServePkgs are the gateway packages under the JSON error contract.
-	ServePkgs []string
-	// ServeHelpers are the functions within ServePkgs that are allowed to
-	// write raw statuses — the helpers that implement the contract. Methods
-	// on types embedding http.ResponseWriter are always allowed: a wrapper
-	// must be able to forward WriteHeader.
-	ServeHelpers []string
-	// MetricExemptPkgs skip the metricnames check; the registry's own
-	// package exercises arbitrary names to test itself.
-	MetricExemptPkgs []string
 }
 
 // DefaultConfig returns the analyzer scoping for the gddr module rooted at
@@ -111,9 +96,6 @@ func DefaultConfig(module string) *Config {
 			p("internal/rng"), p("internal/topo"),
 		},
 		DeterministicFiles: map[string][]string{module: {"train.go"}},
-		ServePkgs:          []string{p("cmd/gddr-serve")},
-		ServeHelpers:       []string{"writeJSON", "writeError"},
-		MetricExemptPkgs:   []string{p("internal/metrics")},
 	}
 }
 

@@ -104,14 +104,11 @@ func fixtureConfig() *Config {
 	return &Config{
 		DeterministicPkgs:  []string{"determinism"},
 		DeterministicFiles: map[string][]string{"detfiles": {"scoped.go"}},
-		ServePkgs:          []string{"jsonerrors"},
-		ServeHelpers:       []string{"writeJSON", "writeError"},
 	}
 }
 
 var fixturePackages = []string{
-	"atomicpub", "ctxflow", "detfiles", "determinism",
-	"jsonerrors", "lockguard", "metricnames",
+	"ctxflow", "detfiles", "determinism",
 }
 
 var fixturesOnce struct {

@@ -2,39 +2,13 @@ package analysis
 
 import (
 	"fmt"
-	"go/ast"
-	"go/constant"
-	"go/types"
 	"regexp"
 	"strings"
 )
 
-// MetricNames enforces the DESIGN.md metric naming contract on every
-// constant name passed to a metrics.Registry registration call
-// (Counter/Gauge/GaugeFunc/Histogram): names follow
-// gddr_<subsystem>_<name>_<unit> with an approved subsystem, counters end
-// in _total (and only counters do), and durations are seconds — never
-// milliseconds or any other non-base unit. Dynamically built names cannot
-// be checked statically; the runtime grammar test (TestMetricNameGrammar)
-// covers those by walking live registries with the same CheckMetricName.
-var MetricNames = &Analyzer{
-	Name: "metricnames",
-	Doc:  "metric names registered on a metrics.Registry must follow the gddr_<subsystem>_<name>_<unit> grammar",
-	Run:  runMetricNames,
-}
-
 // MetricSubsystems are the approved <subsystem> segments: the layers that
 // own instruments (see DESIGN.md "Metric naming contract").
 var MetricSubsystems = []string{"engine", "fleet", "http", "lp", "router", "train"}
-
-// registrationKinds maps Registry methods to the instrument kind their
-// name grammar is checked against.
-var registrationKinds = map[string]string{
-	"Counter":   "counter",
-	"Gauge":     "gauge",
-	"GaugeFunc": "gauge",
-	"Histogram": "histogram",
-}
 
 // metricNamePattern is the structural grammar: lowercase snake_case with at
 // least three segments (gddr, subsystem, name...).
@@ -57,11 +31,14 @@ var forbiddenUnits = map[string]string{
 	"count":        "total",
 }
 
-// CheckMetricName validates one metric name against the naming contract.
+// CheckMetricName validates one metric name against the DESIGN.md metric
+// naming contract: names follow gddr_<subsystem>_<name>_<unit> with an
+// approved subsystem, counters end in _total (and only counters do), and
+// durations are seconds, never milliseconds or any other non-base unit.
 // kind is the instrument kind as exposed by metrics.Point.Type ("counter",
-// "gauge" or "histogram"). It is shared by the static analyzer and the
-// runtime registry-walking test so dynamically built names obey the same
-// grammar as literals.
+// "gauge" or "histogram"). The registry-walking tests (TestMetricNameGrammar,
+// TestGatewayMetricNameGrammar) hold every live registration to it, literal
+// and dynamically built names alike.
 func CheckMetricName(kind, name string) error {
 	if !metricNamePattern.MatchString(name) {
 		return fmt.Errorf("metric %q does not match gddr_<subsystem>_<name>_<unit> (lowercase snake_case, >= 3 segments)", name)
@@ -88,57 +65,4 @@ func CheckMetricName(kind, name string) error {
 		}
 	}
 	return nil
-}
-
-func runMetricNames(p *Pass) {
-	if contains(p.Cfg.MetricExemptPkgs, p.Pkg.BasePath) {
-		return
-	}
-	for _, f := range p.Pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			kind, ok := registrationKinds[sel.Sel.Name]
-			if !ok || len(call.Args) == 0 {
-				return true
-			}
-			fn, ok := p.Pkg.Info.Uses[sel.Sel].(*types.Func)
-			if !ok || !isRegistryMethod(fn) {
-				return true
-			}
-			tv := p.Pkg.Info.Types[call.Args[0]]
-			if tv.Value == nil || tv.Value.Kind() != constant.String {
-				return true // dynamic name: covered by the runtime grammar test
-			}
-			if err := CheckMetricName(kind, constant.StringVal(tv.Value)); err != nil {
-				p.Reportf(call.Args[0].Pos(), "%v", err)
-			}
-			return true
-		})
-	}
-}
-
-// isRegistryMethod reports whether fn is a method on the metrics package's
-// Registry type (matched structurally so fixture packages can stand in for
-// internal/metrics in tests).
-func isRegistryMethod(fn *types.Func) bool {
-	if fn.Pkg() == nil || fn.Pkg().Name() != "metrics" {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	t := sig.Recv().Type()
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	return ok && named.Obj().Name() == "Registry"
 }

@@ -37,7 +37,7 @@ func trailingAllowed() time.Time {
 }
 
 func wrongCheckAllowed() int {
-	return rand.Int() //gddr:allow metricnames another check's directive must not suppress // want "global rand\.Int draws"
+	return rand.Int() //gddr:allow ctxflow another check's directive must not suppress // want "global rand\.Int draws"
 }
 
 func wallClock() time.Time {

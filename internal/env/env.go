@@ -137,18 +137,18 @@ type Interface interface {
 // different sequences on the same graph.
 type OptimalCache struct {
 	mu    sync.Mutex
-	m     map[cacheKey]float64     //gddr:guardedby mu
-	basis map[cacheKey]*lp.Basis   //gddr:guardedby mu
-	chain map[chainKey]*sync.Mutex //gddr:guardedby mu
+	m     map[cacheKey]float64     // guarded by mu
+	basis map[cacheKey]*lp.Basis   // guarded by mu
+	chain map[chainKey]*sync.Mutex // guarded by mu
 
 	// Registry instruments, nil until Instrument is called. Readers copy
 	// them into locals under mu and use the copies after unlocking.
-	metHits   *metrics.Counter   //gddr:guardedby mu
-	metMisses *metrics.Counter   //gddr:guardedby mu
-	metSolve  *metrics.Histogram //gddr:guardedby mu
-	metWarm   *metrics.Counter   //gddr:guardedby mu
-	metCold   *metrics.Counter   //gddr:guardedby mu
-	metPivots *metrics.Histogram //gddr:guardedby mu
+	metHits   *metrics.Counter   // guarded by mu
+	metMisses *metrics.Counter   // guarded by mu
+	metSolve  *metrics.Histogram // guarded by mu
+	metWarm   *metrics.Counter   // guarded by mu
+	metCold   *metrics.Counter   // guarded by mu
+	metPivots *metrics.Histogram // guarded by mu
 }
 
 type cacheKey struct {

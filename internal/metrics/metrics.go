@@ -182,16 +182,16 @@ type family struct {
 	typ  string
 
 	mu    sync.Mutex
-	order []*instrument             //gddr:guardedby mu
-	byKey map[metricKey]*instrument //gddr:guardedby mu
+	order []*instrument             // guarded by mu
+	byKey map[metricKey]*instrument // guarded by mu
 }
 
 // Registry holds named metric families. The zero value is not usable; call
 // NewRegistry.
 type Registry struct {
 	mu       sync.Mutex
-	families map[string]*family //gddr:guardedby mu
-	order    []string           //gddr:guardedby mu
+	families map[string]*family // guarded by mu
+	order    []string           // guarded by mu
 }
 
 // NewRegistry returns an empty registry.

@@ -3,6 +3,7 @@ package metrics
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -241,5 +242,54 @@ func TestRegistryConcurrent(t *testing.T) {
 	h := r.Histogram("gddr_conc_seconds", "", LatencyBuckets())
 	if h.Count() != workers*iters {
 		t.Fatalf("histogram count = %d, want %d", h.Count(), workers*iters)
+	}
+}
+
+// TestRegistryConcurrentRegistration registers new families and new label
+// sets from several goroutines while others keep exposing the registry, so
+// every registration lands while an exposition is copying the same family
+// and instrument lists. Every registered instrument must be exposed once
+// the writers are done.
+func TestRegistryConcurrentRegistration(t *testing.T) {
+	r := NewRegistry()
+	const writers, perWriter = 4, 50
+	var (
+		wg      sync.WaitGroup
+		readers sync.WaitGroup
+		done    = make(chan struct{})
+	)
+	for range 2 {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if err := r.WritePrometheus(new(bytes.Buffer)); err != nil {
+					t.Error(err)
+					return
+				}
+				_ = r.Snapshot()
+			}
+		}()
+	}
+	for w := range writers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range perWriter {
+				r.Counter(fmt.Sprintf("gddr_reg_w%d_i%d_total", w, i), "").Inc()
+				r.Gauge("gddr_reg_shared", "", L("writer", fmt.Sprint(w)), L("i", fmt.Sprint(i))).Set(1)
+			}
+		}()
+	}
+	wg.Wait()
+	close(done)
+	readers.Wait()
+	if got, want := len(r.Snapshot()), 2*writers*perWriter; got != want {
+		t.Fatalf("snapshot holds %d points after %d registrations, want %d", got, want, want)
 	}
 }

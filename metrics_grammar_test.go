@@ -9,12 +9,12 @@ import (
 	"gddr/internal/metrics"
 )
 
-// TestMetricNameGrammar is the runtime counterpart of the gddr-lint
-// metricnames analyzer: the static check covers every literal registration,
-// this test walks every name actually registered by the Router, Engine,
-// training, and LP-cache registries — dynamically built names included —
-// and holds them to the same gddr_<subsystem>_<name>_<unit> grammar via the
-// shared analysis.CheckMetricName.
+// TestMetricNameGrammar holds the metric naming contract at runtime: it
+// walks every name actually registered by the Router, Engine, training, and
+// LP-cache registries — literal and dynamically built names alike — and
+// holds them to the gddr_<subsystem>_<name>_<unit> grammar via
+// analysis.CheckMetricName. TestGatewayMetricNameGrammar (cmd/gddr-serve)
+// does the same for the gateway's own families.
 func TestMetricNameGrammar(t *testing.T) {
 	g := Abilene()
 	agent := testRouterAgent(t)

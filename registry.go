@@ -82,7 +82,7 @@ type Experiment struct {
 
 var experimentRegistry = struct {
 	sync.RWMutex
-	m map[string]Experiment //gddr:guardedby RWMutex
+	m map[string]Experiment // guarded by RWMutex
 }{m: make(map[string]Experiment)}
 
 // RegisterExperiment adds an experiment to the registry. Registering an

@@ -180,8 +180,8 @@ type Router struct {
 	// batch window open waits on. Close sets closed, closes quit and takes
 	// every slot for good.
 	mu        sync.Mutex
-	closed    bool            //gddr:guardedby mu
-	pending   []*routeRequest //gddr:guardedby mu
+	closed    bool            // guarded by mu
+	pending   []*routeRequest // guarded by mu
 	arrived   chan struct{}
 	slots     chan struct{}
 	quit      chan struct{}
@@ -271,7 +271,7 @@ type demandHistory struct {
 	memory int
 	// dms is preallocated to memory capacity once and then only resliced
 	// or shifted in place, so the serving path never reallocates it.
-	dms []*DemandMatrix //gddr:guardedby mu
+	dms []*DemandMatrix // guarded by mu
 }
 
 func newDemandHistory(memory int) *demandHistory {

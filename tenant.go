@@ -152,8 +152,8 @@ type admission struct {
 	mu     sync.Mutex
 	rate   float64
 	burst  float64
-	tokens float64   //gddr:guardedby mu
-	last   time.Time //gddr:guardedby mu
+	tokens float64   // guarded by mu
+	last   time.Time // guarded by mu
 }
 
 func newAdmission(cfg TenantConfig) *admission {
